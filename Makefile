@@ -1,21 +1,25 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke
+.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke perfbench-test
 
 # Tier-1 gate: lint (vet + tmvet + gofmt), the full test suite under the
 # race detector (includes the concurrent-runner and batch determinism
-# tests in internal/runner, and TestEnginesAgree — the direct
-# fast-vs-interp equivalence matrix), the per-package coverage-floor
-# gate, the differential conformance campaign on BOTH execution engines
+# tests in internal/runner, TestEnginesAgree — the direct
+# fast-vs-interp equivalence matrix — and TestCampaignsGolden, which
+# byte-checks both fault campaigns, injection and mutant matrix, that
+# run on the campaign engine), the per-package coverage-floor gate,
+# the differential conformance campaign on BOTH execution engines
 # (zero divergences against the reference model transitively proves the
 # block-cache fast path and the interpreter agree on every covered
 # program), the machine-readable quick bench (written and
 # schema-checked), the serial-vs-parallel byte-identity proof, the
 # live-daemon smoke (boot tm3270d, drive load, assert zero 5xx and a
-# clean SIGTERM drain), and the campaign kill/resume smoke (shard a
+# clean SIGTERM drain), the campaign kill/resume smoke (shard a
 # cosim campaign, SIGKILL one shard mid-run, resume, and byte-compare
-# the merged aggregate against an unsharded run).
-check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke
+# the merged aggregate against an unsharded run), and the tests of the
+# nested perfbench module, so an API change that breaks the benchmark
+# harness fails here rather than when the benchmark runs.
+check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -52,6 +56,11 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# campaign: both fault campaigns on the campaign engine — the 208-run
+# injection campaign (workload x injector x seed, one compile per
+# workload) and the mutant x machine-seed matrix, whose per-workload
+# table carries the static classification and the baseline seed's
+# differential fate.
 campaign:
 	$(GO) run ./cmd/tm3270bench -faults
 
@@ -101,3 +110,8 @@ serve-smoke:
 # to an unsharded run of the same matrix.
 campaign-smoke:
 	GO=$(GO) sh scripts/campaign_smoke.sh
+
+# perfbench-test: the benchmark harness is a nested module that
+# `go test ./...` at the root never builds.
+perfbench-test:
+	cd perfbench && $(GO) test ./...

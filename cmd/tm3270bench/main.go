@@ -141,32 +141,17 @@ func main() {
 		run("faults", func() error {
 			// Small workload sizes keep the campaign dense: 4 workloads
 			// x 4 injectors x 13 seeds = 208 classified runs.
-			res, err := faults.RunCampaign(faults.CampaignConfig{}, os.Stdout)
+			res, err := faults.RunCampaign(faults.CampaignConfig{})
 			if err != nil {
 				return err
 			}
+			res.PrintRuns(os.Stdout)
 			res.PrintSummary(os.Stdout)
-			// The static counterpart: seeded single-bit image flips that
-			// still decode must be flagged by binverify before execution.
-			fmt.Println()
-			sres, err := faults.RunStaticCampaign(faults.StaticConfig{}, nil)
-			if err != nil {
-				return err
-			}
-			sres.PrintSummary(os.Stdout)
-			// And the combined gate: statically-missed mutants execute on
-			// the architectural reference model and diff against the
-			// golden run.
-			fmt.Println()
-			dres, err := faults.RunDifferentialCampaign(faults.StaticConfig{}, nil)
-			if err != nil {
-				return err
-			}
-			dres.PrintSummary(os.Stdout)
-			// Finally the full matrix: every mutant differentially executed
-			// under multiple machine seeds (randomized initial register and
-			// memory state), which strips the masking a single fixed
-			// initial state offers.
+			// The mutant matrix: seeded single-bit image flips that still
+			// decode must be flagged by binverify before execution, and
+			// every statically-missed mutant executes on the reference
+			// model under several machine seeds (randomized initial
+			// register and memory state) and diffs against the golden run.
 			fmt.Println()
 			mres, err := faults.RunMatrixCampaign(faults.MatrixConfig{})
 			if err != nil {

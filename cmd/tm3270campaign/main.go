@@ -66,15 +66,6 @@ func parseShard(s string) (campaign.Shard, error) {
 	return sh, sh.Validate()
 }
 
-func parseEngine(s string) (tmsim.Engine, error) {
-	for _, e := range []tmsim.Engine{tmsim.EngineBlockCache, tmsim.EngineInterp} {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown -engine %q", s)
-}
-
 // openStore opens the store when a directory was given, refusing to
 // silently reuse prior records unless -resume acknowledges them.
 func openStore(dir string, sh campaign.Shard, spec string, resume bool) (*campaign.Store, error) {
@@ -124,7 +115,7 @@ func run(kind, storeDir string, resume bool, shards string, seeds, ops int,
 	var bad int
 	switch kind {
 	case "cosim":
-		eng, err := parseEngine(engine)
+		eng, err := tmsim.ParseEngine(engine)
 		if err != nil {
 			return err
 		}
@@ -153,7 +144,7 @@ func run(kind, storeDir string, resume bool, shards string, seeds, ops int,
 		agg, stats, bad = camp.Aggregate, camp.Stats, len(camp.Divergent)
 	case "mutants":
 		cfg := faults.MatrixConfig{
-			Static:   faults.StaticConfig{Mutants: mutants},
+			Mutants:  mutants,
 			MSeeds:   mseeds,
 			Workers:  workers,
 			Shard:    sh,

@@ -43,11 +43,14 @@ const hashSalt = "tm3270-campaign/v1"
 // are omitted from the canonical encoding so extending the struct does
 // not move the hashes of existing campaigns.
 type Unit struct {
-	// Kind names the unit runner: "cosim-wl", "cosim-gen", "mutant".
+	// Kind names the unit runner: "cosim-wl", "cosim-gen", "mutant",
+	// "fault".
 	Kind string `json:"kind"`
-	// Name is the workload registry name (workload and mutant units).
+	// Name is the workload registry name (workload, mutant and fault
+	// units).
 	Name string `json:"name,omitempty"`
-	// Seed is the program-generator seed (generated-program units).
+	// Seed is the program-generator seed (generated-program units) or
+	// the injector seed (fault units).
 	Seed int64 `json:"seed,omitempty"`
 	// Ops is the generator's operation budget (generated-program units).
 	Ops int `json:"ops,omitempty"`
@@ -60,6 +63,9 @@ type Unit struct {
 	// MSeed is the machine seed perturbing initial register/memory
 	// state (mutant units; 0 = the unperturbed baseline).
 	MSeed int64 `json:"mseed,omitempty"`
+	// Inject is the injector spec in its faults.Spec String form
+	// (fault units).
+	Inject string `json:"inject,omitempty"`
 	// Lockstep arms per-instruction intermediate-state diffing for this
 	// unit (sample-gated cosim units).
 	Lockstep bool `json:"lockstep,omitempty"`
@@ -89,6 +95,9 @@ func (u Unit) String() string {
 	}
 	if u.Mutant != 0 {
 		s += fmt.Sprintf(":mut%d", u.Mutant)
+	}
+	if u.Inject != "" {
+		s += ":" + u.Inject
 	}
 	s += fmt.Sprintf(":m%d", u.MSeed)
 	if u.Target != "" {

@@ -2,19 +2,28 @@ package faults
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 	"time"
 
+	"tm3270/internal/campaign"
 	"tm3270/internal/config"
 	"tm3270/internal/mem"
 	"tm3270/internal/prefetch"
 	"tm3270/internal/prog"
-	"tm3270/internal/regalloc"
-	"tm3270/internal/sched"
+	"tm3270/internal/runner"
 	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
+
+// KindFault is the campaign unit kind of the injection campaign: one
+// seeded fault-injected run of one workload. The unit carries the
+// workload in Name, the injector seed in Seed and the injector spec,
+// in Spec.String form, in Inject.
+const KindFault = "fault"
 
 // Outcome classifies one fault-injected run.
 type Outcome int
@@ -107,52 +116,170 @@ func (c *CampaignConfig) fill() {
 	}
 }
 
-// CampaignResult aggregates a full campaign.
-type CampaignResult struct {
+// units enumerates the campaign: workload × injector × seed, seeds
+// innermost and numbered from 1.
+func (c *CampaignConfig) units() []campaign.Unit {
+	var units []campaign.Unit
+	for _, name := range c.Workloads {
+		for _, spec := range c.Specs {
+			for s := int64(1); s <= int64(c.Seeds); s++ {
+				units = append(units, campaign.Unit{
+					Kind: KindFault, Name: name, Target: c.Target.Name,
+					Seed: s, Inject: spec.String(),
+				})
+			}
+		}
+	}
+	return units
+}
+
+// InjectionResult aggregates a fault campaign.
+type InjectionResult struct {
+	// Reports holds one classification per run, in matrix order.
 	Reports []RunReport
-	Counts  map[Outcome]int
+	// Counts tallies the reports by outcome.
+	Counts [3]int
 }
 
 // Runs returns the total number of classified runs.
-func (r *CampaignResult) Runs() int { return len(r.Reports) }
+func (r *InjectionResult) Runs() int { return len(r.Reports) }
+
+// PrintRuns renders one classification line per run.
+func (r *InjectionResult) PrintRuns(w io.Writer) {
+	for _, rep := range r.Reports {
+		fmt.Fprintf(w, "%-14s %-22s seed %-3d %-19s events=%-3d %s\n",
+			rep.Workload, rep.Spec, rep.Seed, rep.Outcome, rep.Injected, rep.Detail)
+	}
+}
+
+// PrintSummary renders the aggregate counts.
+func (r *InjectionResult) PrintSummary(w io.Writer) {
+	fmt.Fprintf(w, "fault campaign: %d runs, %d detected-trap, %d detected-divergence, %d masked\n",
+		r.Runs(), r.Counts[DetectedTrap], r.Counts[DetectedDivergence], r.Counts[Masked])
+}
 
 // RunCampaign executes Seeds seeded runs of every (workload, injector)
-// pair and classifies each as detected (trap or divergence against the
-// sequential reference) or masked. Every run is bounded by the
-// instruction watchdog and the wall-clock deadline, and internal panics
-// surface as traps — a campaign never hangs and never panics. When w is
-// non-nil, one classification line per run is printed.
-func RunCampaign(cfg CampaignConfig, w io.Writer) (*CampaignResult, error) {
+// pair on the campaign engine and classifies each as detected (trap or
+// divergence against the sequential reference) or masked. Every run is
+// bounded by the instruction watchdog and the wall-clock deadline, and
+// internal panics surface as traps — a campaign never hangs and never
+// panics.
+func RunCampaign(cfg CampaignConfig) (*InjectionResult, error) {
 	cfg.fill()
-	res := &CampaignResult{Counts: map[Outcome]int{}}
-	for _, name := range cfg.Workloads {
-		ref, err := referenceImage(name, *cfg.Params)
-		if err != nil {
-			return nil, fmt.Errorf("faults: reference %s: %w", name, err)
-		}
-		for _, spec := range cfg.Specs {
-			for s := 0; s < cfg.Seeds; s++ {
-				seed := int64(s + 1)
-				rep, err := runOne(name, cfg, spec, seed, ref)
-				if err != nil {
-					return nil, fmt.Errorf("faults: %s/%s seed %d: %w", name, spec.Kind, seed, err)
-				}
-				res.Reports = append(res.Reports, *rep)
-				res.Counts[rep.Outcome]++
-				if w != nil {
-					fmt.Fprintf(w, "%-14s %-22s seed %-3d %-19s events=%-3d %s\n",
-						rep.Workload, rep.Spec, rep.Seed, rep.Outcome, rep.Injected, rep.Detail)
+	specs := make(map[string]Spec, len(cfg.Specs))
+	for _, s := range cfg.Specs {
+		specs[s.String()] = s
+	}
+	r := &injectionRunner{cfg: &cfg, specs: specs}
+	res := &InjectionResult{}
+	_, err := campaign.Run(context.Background(), campaign.Config{
+		Reduce: func(_ int, u campaign.Unit, ur campaign.Result) {
+			rep := RunReport{Workload: u.Name, Spec: specs[u.Inject], Seed: u.Seed}
+			fmt.Sscanf(ur.Detail, "events=%d", &rep.Injected)
+			_, rep.Detail, _ = strings.Cut(ur.Detail, " ")
+			for o := Masked; o <= DetectedDivergence; o++ {
+				if ur.Status == o.String() {
+					rep.Outcome = o
 				}
 			}
-		}
+			res.Reports = append(res.Reports, rep)
+			res.Counts[rep.Outcome]++
+		},
+	}, cfg.units(), r.Run)
+	if err != nil {
+		return nil, fmt.Errorf("faults: %w", err)
 	}
 	return res, nil
 }
 
-// PrintSummary renders the aggregate counts.
-func (r *CampaignResult) PrintSummary(w io.Writer) {
-	fmt.Fprintf(w, "fault campaign: %d runs, %d detected-trap, %d detected-divergence, %d masked\n",
-		r.Runs(), r.Counts[DetectedTrap], r.Counts[DetectedDivergence], r.Counts[Masked])
+// injTarget is one workload prepared for injection: the compiled
+// artifact every run loads and the fault-free reference image every run
+// is diffed against. A mem.Func is not safe for concurrent reads, so
+// the reference is only read under mu.
+type injTarget struct {
+	art *runner.Artifact
+	mu  sync.Mutex
+	ref *mem.Func
+}
+
+// injectionRunner executes fault units, compiling each workload and
+// computing its reference image once.
+type injectionRunner struct {
+	cfg     *CampaignConfig
+	specs   map[string]Spec
+	targets memo[*injTarget]
+}
+
+func (r *injectionRunner) target(name string) (*injTarget, error) {
+	return r.targets.get(name, func() (*injTarget, error) {
+		w, err := workloads.ByName(name, *r.cfg.Params)
+		if err != nil {
+			return nil, err
+		}
+		art, err := runner.CompileWorkload(w, *r.cfg.Target)
+		if err != nil {
+			return nil, err
+		}
+		ref, err := referenceImage(name, *r.cfg.Params)
+		if err != nil {
+			return nil, fmt.Errorf("reference %s: %w", name, err)
+		}
+		return &injTarget{art: art, ref: ref}, nil
+	})
+}
+
+// Run executes one seeded fault-injected run and classifies it. The
+// result's Status is the Outcome's name and its Detail leads with
+// "events=N", so the reduced report is a pure function of the result.
+func (r *injectionRunner) Run(ctx context.Context, u campaign.Unit) (campaign.Result, error) {
+	tgt, err := r.target(u.Name)
+	if err != nil {
+		return campaign.Result{}, err
+	}
+	// A fresh workload instance per run: Init/Check closures carry
+	// per-image state.
+	w, err := workloads.ByName(u.Name, *r.cfg.Params)
+	if err != nil {
+		return campaign.Result{}, err
+	}
+	inj := New(r.specs[u.Inject], u.Seed)
+	res, runErr := runner.RunContext(ctx, w, *r.cfg.Target,
+		runner.WithArtifact(tgt.art),
+		runner.WithWatchdog(r.cfg.MaxInstrs),
+		runner.WithDeadline(r.cfg.Deadline),
+		runner.WithMachineSetup(inj.Arm))
+	if res == nil {
+		return campaign.Result{}, runErr
+	}
+
+	outcome, detail := Masked, ""
+	var trap *tmsim.TrapError
+	switch {
+	case errors.As(runErr, &trap):
+		outcome, detail = DetectedTrap, trap.Error()
+	case runErr != nil:
+		// Past execution, a non-trap error is the failed output check.
+		outcome, detail = DetectedDivergence, runErr.Error()
+	default:
+		// The output check passed; any remaining difference against
+		// the fault-free reference beyond the injection sites (and the
+		// MMIO register block, which the reference interpreter stores
+		// to as plain memory) still counts as a detected divergence.
+		corrupted := inj.CorruptedAddrs()
+		ignore := func(addr uint32) bool {
+			return corrupted[addr] || prefetch.IsMMIO(addr)
+		}
+		tgt.mu.Lock()
+		addr, diff := mem.DiffIgnore(res.Machine.Mem, tgt.ref, ignore)
+		tgt.mu.Unlock()
+		if diff {
+			outcome, detail = DetectedDivergence, fmt.Sprintf("memory diverges from reference at %#x", addr)
+		}
+	}
+	return campaign.Result{
+		Status: outcome.String(),
+		Detail: strings.TrimSpace(fmt.Sprintf("events=%d %s", len(inj.Events), detail)),
+	}, nil
 }
 
 // referenceImage runs the workload on the sequential reference
@@ -184,72 +311,26 @@ func referenceImage(name string, p workloads.Params) (*mem.Func, error) {
 	return image, nil
 }
 
-// runOne executes one seeded fault-injected run and classifies it.
-func runOne(name string, cfg CampaignConfig, spec Spec, seed int64, ref *mem.Func) (*RunReport, error) {
-	// A fresh workload instance per run: Init/Check closures carry
-	// per-image state.
-	w, err := workloads.ByName(name, *cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-	code, err := sched.Schedule(w.Prog, *cfg.Target)
-	if err != nil {
-		return nil, err
-	}
-	rm, err := regalloc.Allocate(w.Prog)
-	if err != nil {
-		return nil, err
-	}
-	image := mem.NewFunc()
-	if w.Init != nil {
-		if err := w.Init(image); err != nil {
-			return nil, err
-		}
-	}
-	m, err := tmsim.New(code, rm, image)
-	if err != nil {
-		return nil, err
-	}
-	m.MaxInstrs = cfg.MaxInstrs
-	m.Deadline = cfg.Deadline
-	for v, val := range w.Args {
-		m.SetReg(v, val)
-	}
+// memo caches one value per key, built on first use. The builder runs
+// under the lock, so each key is built exactly once.
+type memo[T any] struct {
+	mu sync.Mutex
+	m  map[string]T
+}
 
-	inj := New(spec, seed)
-	inj.Arm(m)
-	runErr := m.RunContext(context.Background())
-	inj.Disarm(m)
-
-	rep := &RunReport{Workload: name, Spec: spec, Seed: seed, Injected: len(inj.Events)}
-	if runErr != nil {
-		rep.Outcome = DetectedTrap
-		rep.Detail = runErr.Error()
-		return rep, nil
+func (c *memo[T]) get(key string, build func() (T, error)) (T, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[key]; ok {
+		return v, nil
 	}
-	if w.Check != nil {
-		if cerr := w.Check(image); cerr != nil {
-			rep.Outcome = DetectedDivergence
-			rep.Detail = "output check: " + cerr.Error()
-			return rep, nil
-		}
+	v, err := build()
+	if err != nil {
+		return v, err
 	}
-	// The output check passed; any remaining difference against the
-	// fault-free reference beyond the injection sites (and the MMIO
-	// register block, which the reference interpreter stores to as
-	// plain memory) still counts as a detected divergence.
-	corrupted := inj.CorruptedAddrs()
-	ignore := func(addr uint32) bool {
-		if corrupted[addr] {
-			return true
-		}
-		return addr >= prefetch.MMIOBase && addr < prefetch.MMIOBase+prefetch.MMIOSize
+	if c.m == nil {
+		c.m = map[string]T{}
 	}
-	if addr, diff := mem.DiffIgnore(image, ref, ignore); diff {
-		rep.Outcome = DetectedDivergence
-		rep.Detail = fmt.Sprintf("memory diverges from reference at %#x", addr)
-		return rep, nil
-	}
-	rep.Outcome = Masked
-	return rep, nil
+	c.m[key] = v
+	return v, nil
 }

@@ -57,11 +57,12 @@ func TestCampaignSmall(t *testing.T) {
 		Params:   &p,
 		Deadline: time.Minute,
 	}
-	var sb strings.Builder
-	res, err := faults.RunCampaign(cfg, &sb)
+	res, err := faults.RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sb strings.Builder
+	res.PrintRuns(&sb)
 	if res.Runs() != 2*2*4 {
 		t.Fatalf("campaign ran %d runs, want 16", res.Runs())
 	}
@@ -105,11 +106,11 @@ func TestCampaignDeterminism(t *testing.T) {
 		Seeds:     3,
 		Params:    &p,
 	}
-	a, err := faults.RunCampaign(cfg, nil)
+	a, err := faults.RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faults.RunCampaign(cfg, nil)
+	b, err := faults.RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestBusDelayIsTimingOnly(t *testing.T) {
 		Seeds:     3,
 		Params:    &p,
 	}
-	res, err := faults.RunCampaign(cfg, nil)
+	res, err := faults.RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
