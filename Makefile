@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke perfbench-test
+.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke perfbench-test sched-bench
 
 # Tier-1 gate: lint (vet + tmvet + gofmt), the full test suite under the
 # race detector (includes the concurrent-runner and batch determinism
@@ -16,10 +16,14 @@ GO ?= go
 # live-daemon smoke (boot tm3270d, drive load, assert zero 5xx and a
 # clean SIGTERM drain), the campaign kill/resume smoke (shard a
 # cosim campaign, SIGKILL one shard mid-run, resume, and byte-compare
-# the merged aggregate against an unsharded run), and the tests of the
+# the merged aggregate against an unsharded run), the tests of the
 # nested perfbench module, so an API change that breaks the benchmark
-# harness fails here rather than when the benchmark runs.
-check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke perfbench-test
+# harness fails here rather than when the benchmark runs, and one
+# iteration of the scheduler benchmark, so it keeps compiling and
+# running. (The race run includes TestBinariesGolden, which pins the
+# compiler's encoded output, and TestScheduleAllocs, the scheduler's
+# allocation ceiling.)
+check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke perfbench-test sched-bench
 
 build:
 	$(GO) build ./...
@@ -55,6 +59,12 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# sched-bench: one iteration of BenchmarkSchedule (mpeg2_a at Full scale
+# and a 64-op generated program on target D), so the layer benchmark
+# keeps compiling and running. For timings, raise -benchtime.
+sched-bench:
+	$(GO) test -run '^$$' -bench Schedule -benchtime 1x ./internal/sched
 
 # campaign: both fault campaigns on the campaign engine — the 208-run
 # injection campaign (workload x injector x seed, one compile per

@@ -13,6 +13,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"tm3270/internal/config"
 	"tm3270/internal/isa"
@@ -96,13 +97,14 @@ func Schedule(p *prog.Program, t config.Target) (*Code, error) {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
 	c := &Code{Name: p.Name, Target: t, Labels: make(map[string]int), LoopBounds: p.LoopBounds}
+	s := scratch{numVRegs: p.NumVRegs}
 	for _, b := range p.Blocks {
 		start := len(c.Instrs)
 		c.BlockStart = append(c.BlockStart, start)
 		if b.Label != "" {
 			c.Labels[b.Label] = start
 		}
-		if err := scheduleBlock(c, b, &t); err != nil {
+		if err := s.scheduleBlock(c, b, &t); err != nil {
 			return nil, fmt.Errorf("sched %s: block %q: %w", p.Name, b.Label, err)
 		}
 	}
@@ -124,14 +126,79 @@ func slotsFor(op *prog.Op, t *config.Target) isa.SlotMask {
 	return isa.DefaultSlots(info.Class)
 }
 
-// dep is one scheduling dependence: successor must issue at least
-// weight cycles after the predecessor.
+// dep is one scheduling dependence edge: the op at the far end (the
+// predecessor in a block's predecessor lists, the successor in its
+// successor lists) and the minimum issue distance between the two.
+// Memory dependences make edge counts quadratic in a block's memory
+// ops, so the fields are 32-bit to halve the edge lists.
 type dep struct {
-	pred   int
-	weight int
+	op     int32
+	weight int32
 }
 
-func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
+// use is one node of a register's chain of reads since its last
+// definition (next is -1 at the end of the chain).
+type use struct{ op, next int32 }
+
+// scratch is one Schedule call's working storage. Blocks are scheduled
+// one after another, so every slice is reused from block to block and a
+// program of many small blocks does not allocate per block. Per-op
+// slices are indexed by position in the block body.
+type scratch struct {
+	numVRegs int // the program's virtual register count
+
+	lat, prio, issue []int
+	// The block's dependence graph in compressed sparse row form: the
+	// edges into op i are preds[predOff[i]:predOff[i+1]], the edges out
+	// of it succs[succOff[i]:succOff[i+1]]. cursor fills succs.
+	predOff, succOff, cursor []int
+	preds, succs             []dep
+	// waiting[i] counts i's unscheduled predecessor edges; earliest[i]
+	// is the first cycle its scheduled predecessors allow. A released op
+	// waits in the chain of its release cycle: pending[cycle] heads a
+	// chain linked through next (-1 ends a chain).
+	waiting, earliest, next, pending []int
+	// wb[k] counts register results committing in cycle k.
+	wb                   []int
+	ready, fresh, merged []int
+
+	// buildDeps state, indexed by virtual register. lastDef[v] is the
+	// latest op defining v (-1: none in this block); the reads of v
+	// since then form a chain in uses from useHead[v] to useTail[v].
+	lastDef, useHead, useTail []int
+	uses                      []use
+	loads, stores             []int
+}
+
+// fill returns s resized to n elements, all set to v, reusing its
+// storage when it is large enough.
+func fill(s []int, n, v int) []int {
+	if cap(s) < n {
+		s = make([]int, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// scheduleBlock list-schedules one block body cycle by cycle, appending
+// its instructions to c, then places the block's jump and pads the block
+// for the drain rule.
+//
+// Each cycle issues from a ready list ordered by priority (longest
+// latency-weighted path to a sink) descending, then program index
+// ascending; an op that does not fit (slots, load issue, writeback
+// ports) stays on the list for the next cycle. Every op keeps a count
+// of unscheduled predecessors and its earliest issue cycle, and issuing
+// an op updates only its successors, so the cost is linear in ops and
+// dependences plus the ready-list walks. The output equals that of a
+// scan over every unscheduled op at the start of every cycle because of
+// one rule: an op released by an issue in cycle c joins the ready list
+// at the start of cycle max(c+1, earliest issue) — never in cycle c
+// itself, even on a weight-0 (WAR) edge.
+func (s *scratch) scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 	body := b.Body()
 	jump := b.Jump()
 
@@ -142,35 +209,68 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 		}
 	}
 
-	deps := buildDeps(body, t)
-
-	lat := func(i int) int { return t.OpLatency(body[i].Opcode) }
-
-	// Priority: longest path to any sink, including own latency.
-	prio := make([]int, len(body))
-	succ := make([][]dep, len(body))
+	n := len(body)
+	s.lat = fill(s.lat, n, 0)
 	for i := range body {
-		for _, d := range deps[i] {
-			succ[d.pred] = append(succ[d.pred], dep{pred: i, weight: d.weight})
+		s.lat[i] = t.OpLatency(body[i].Opcode)
+	}
+	s.buildDeps(body)
+	lat, preds, predOff := s.lat, s.preds, s.predOff
+
+	// Successor lists by counting sort over the predecessor edges, in
+	// the order the edges were found.
+	succOff := fill(s.succOff, n+1, 0)
+	for _, d := range preds {
+		succOff[d.op+1]++
+	}
+	for i := 0; i < n; i++ {
+		succOff[i+1] += succOff[i]
+	}
+	succs := slices.Grow(s.succs[:0], len(preds))[:len(preds)]
+	cursor := append(s.cursor[:0], succOff[:n]...)
+	for i := 0; i < n; i++ {
+		for _, d := range preds[predOff[i]:predOff[i+1]] {
+			succs[cursor[d.op]] = dep{op: int32(i), weight: d.weight}
+			cursor[d.op]++
 		}
 	}
-	for i := len(body) - 1; i >= 0; i-- {
-		prio[i] = lat(i)
-		for _, s := range succ[i] {
-			if v := s.weight + prio[s.pred]; v > prio[i] {
+	s.succOff, s.succs, s.cursor = succOff, succs, cursor
+
+	// Priority: longest path to any sink, including own latency.
+	prio := fill(s.prio, n, 0)
+	for i := n - 1; i >= 0; i-- {
+		prio[i] = lat[i]
+		for _, d := range succs[succOff[i]:succOff[i+1]] {
+			if v := int(d.weight) + prio[d.op]; v > prio[i] {
 				prio[i] = v
 			}
 		}
 	}
+	s.prio = prio
 
-	issue := make([]int, len(body))
-	for i := range issue {
-		issue[i] = -1
+	issue := fill(s.issue, n, -1)
+	waiting := fill(s.waiting, n, 0)
+	earliest := fill(s.earliest, n, 0)
+	next := fill(s.next, n, -1)
+	pending := s.pending[:0]
+	release := func(i, cycle int) {
+		for len(pending) <= cycle {
+			pending = append(pending, -1)
+		}
+		next[i] = pending[cycle]
+		pending[cycle] = i
 	}
-	var instrs []Instr
-	ensure := func(n int) {
-		for len(instrs) < n {
-			instrs = append(instrs, Instr{})
+	for i := 0; i < n; i++ {
+		if waiting[i] = predOff[i+1] - predOff[i]; waiting[i] == 0 {
+			release(i, 0)
+		}
+	}
+
+	// The block's instructions are c.Instrs[base:].
+	base := len(c.Instrs)
+	ensure := func(size int) {
+		for len(c.Instrs) < base+size {
+			c.Instrs = append(c.Instrs, Instr{})
 		}
 	}
 
@@ -180,48 +280,51 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 	// on different cycles can collide on the same commit cycle, which the
 	// slot constraints alone do not prevent. (The block drain rule keeps
 	// every commit inside the block, so per-block accounting is exact.)
-	wb := map[int]int{}
+	wb := s.wb[:0]
 
-	remaining := len(body)
+	ready, fresh, merged := s.ready[:0], s.fresh[:0], s.merged[:0]
+	remaining := n
 	for cycle := 0; remaining > 0; cycle++ {
-		if cycle > 64*len(body)+1024 {
+		if cycle > 64*n+1024 {
 			return fmt.Errorf("scheduler did not converge")
 		}
 		ensure(cycle + 1)
-		// Candidate ops ready this cycle, highest priority first.
-		var ready []int
-		for i := range body {
-			if issue[i] >= 0 {
-				continue
+		if cycle < len(pending) && pending[cycle] >= 0 {
+			fresh = fresh[:0]
+			for i := pending[cycle]; i >= 0; i = next[i] {
+				fresh = append(fresh, i)
 			}
-			ok := true
-			earliest := 0
-			for _, d := range deps[i] {
-				if issue[d.pred] < 0 {
-					ok = false
-					break
-				}
-				if e := issue[d.pred] + d.weight; e > earliest {
-					earliest = e
-				}
-			}
-			if ok && earliest <= cycle {
-				ready = append(ready, i)
-			}
+			sortByPriority(fresh, prio)
+			merged = mergeByPriority(merged[:0], ready, fresh, prio)
+			ready, merged = merged, ready
 		}
-		sortByPriority(ready, prio)
+		kept := ready[:0]
 		for _, i := range ready {
 			nd := body[i].Info().NDest
-			if nd > 0 && wb[cycle+lat(i)]+nd > WBPorts {
+			commit := cycle + lat[i]
+			for len(wb) <= commit {
+				wb = append(wb, 0)
+			}
+			if (nd > 0 && wb[commit]+nd > WBPorts) || !place(&c.Instrs[base+cycle], &body[i], t) {
+				kept = append(kept, i)
 				continue
 			}
-			if place(&instrs[cycle], &body[i], t) {
-				issue[i] = cycle
-				remaining--
-				wb[cycle+lat(i)] += nd
+			issue[i] = cycle
+			remaining--
+			wb[commit] += nd
+			for _, d := range succs[succOff[i]:succOff[i+1]] {
+				if e := cycle + int(d.weight); e > earliest[d.op] {
+					earliest[d.op] = e
+				}
+				if waiting[d.op]--; waiting[d.op] == 0 {
+					release(int(d.op), max(cycle+1, earliest[d.op]))
+				}
 			}
 		}
+		ready = kept
 	}
+	s.issue, s.waiting, s.earliest, s.next, s.pending, s.wb = issue, waiting, earliest, next, pending, wb
+	s.ready, s.fresh, s.merged = ready, fresh, merged
 
 	// Drain: every result must be committed by the end of the block so
 	// that successor blocks (on either path) observe it. The exposed
@@ -229,7 +332,7 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 	drain := 0
 	lastIssue := -1
 	for i := range body {
-		if e := issue[i] + lat(i); e > drain {
+		if e := issue[i] + lat[i]; e > drain {
 			drain = e
 		}
 		if issue[i] > lastIssue {
@@ -237,7 +340,7 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 		}
 	}
 
-	blockLen := len(instrs)
+	blockLen := len(c.Instrs) - base
 	if blockLen < drain {
 		blockLen = drain
 	}
@@ -253,7 +356,7 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 			info := body[i].Info()
 			for k := 0; k < info.NDest; k++ {
 				if body[i].Dest[k] == jump.Guard {
-					if e := issue[i] + lat(i); e > guardReady {
+					if e := issue[i] + lat[i]; e > guardReady {
 						guardReady = e
 					}
 				}
@@ -269,8 +372,9 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 		// Find a free branch-unit slot (2, 3 or 4) at or after jc.
 		for {
 			ensure(jc + 1)
-			if s := freeSlot(&instrs[jc], isa.DefaultSlots(isa.UnitBranch)); s >= 0 {
-				instrs[jc].Slots[s] = SlotOp{Op: jump}
+			in := &c.Instrs[base+jc]
+			if s := freeSlot(in, isa.DefaultSlots(isa.UnitBranch)); s >= 0 {
+				in.Slots[s] = SlotOp{Op: jump}
 				break
 			}
 			jc++
@@ -281,81 +385,87 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 		blockLen = jc + d + 1
 	}
 
-	ensureLen := func(n int) {
-		for len(instrs) < n {
-			instrs = append(instrs, Instr{})
-		}
-	}
-	ensureLen(blockLen)
-	instrs = instrs[:blockLen]
-
-	c.Instrs = append(c.Instrs, instrs...)
+	ensure(blockLen)
+	c.Instrs = c.Instrs[:base+blockLen]
 	c.SrcOps += len(b.Ops)
 	return nil
 }
 
-// buildDeps constructs the dependence edges of a block body.
-func buildDeps(body []prog.Op, t *config.Target) [][]dep {
-	deps := make([][]dep, len(body))
-	lastDef := map[prog.VReg]int{}
-	usesSinceDef := map[prog.VReg][]int{}
-	var loads, stores []int
+// buildDeps constructs the dependence edges of a block body from the
+// ops' latencies in s.lat. Every edge points from an earlier op to a
+// later one, and the edges into op i are found while visiting i, so
+// they are stored in compressed sparse row form: s.preds[s.predOff[i]:
+// s.predOff[i+1]], each naming its predecessor.
+func (s *scratch) buildDeps(body []prog.Op) {
+	lat := s.lat
+	lastDef := fill(s.lastDef, s.numVRegs, -1)
+	useHead := fill(s.useHead, s.numVRegs, -1)
+	useTail := fill(s.useTail, s.numVRegs, -1)
+	uses := s.uses[:0]
+	addUse := func(v prog.VReg, i int) {
+		uses = append(uses, use{op: int32(i), next: -1})
+		if useTail[v] >= 0 {
+			uses[useTail[v]].next = int32(len(uses) - 1)
+		} else {
+			useHead[v] = len(uses) - 1
+		}
+		useTail[v] = len(uses) - 1
+	}
+	loads, stores := s.loads[:0], s.stores[:0]
 
-	lat := func(i int) int { return t.OpLatency(body[i].Opcode) }
-	add := func(succ, pred, weight int) {
-		if succ == pred {
+	predOff := fill(s.predOff, len(body)+1, 0)
+	preds := s.preds[:0]
+	add := func(i, pred, weight int) {
+		if i == pred {
 			return // self-edges (rejected by Validate) must never deadlock
 		}
-		deps[succ] = append(deps[succ], dep{pred: pred, weight: weight})
+		preds = append(preds, dep{op: int32(pred), weight: int32(weight)})
 	}
 
 	for i := range body {
 		op := &body[i]
 		info := op.Info()
 
-		reads := make([]prog.VReg, 0, 5)
-		reads = append(reads, op.Guard)
-		for s := 0; s < info.NSrc; s++ {
-			reads = append(reads, op.Src[s])
-		}
-		for _, r := range reads {
+		var reads [5]prog.VReg
+		reads[0] = op.Guard
+		copy(reads[1:], op.Src[:info.NSrc])
+		for _, r := range reads[:1+info.NSrc] {
 			if r.Pinned() {
 				continue
 			}
-			if d, ok := lastDef[r]; ok {
-				add(i, d, lat(d)) // RAW
+			if d := lastDef[r]; d >= 0 {
+				add(i, d, lat[d]) // RAW
 			}
-			usesSinceDef[r] = append(usesSinceDef[r], i)
+			addUse(r, i)
 		}
 		for k := 0; k < info.NDest; k++ {
 			d := op.Dest[k]
-			if pd, ok := lastDef[d]; ok {
-				w := lat(pd) - lat(i) + 1 // WAW: later def must commit later
+			if pd := lastDef[d]; pd >= 0 {
+				w := lat[pd] - lat[i] + 1 // WAW: later def must commit later
 				if w < 1 {
 					w = 1
 				}
 				add(i, pd, w)
 			}
-			for _, u := range usesSinceDef[d] {
-				if u != i {
-					add(i, u, 0) // WAR: read at issue, write commits later
+			for u := useHead[d]; u >= 0; u = int(uses[u].next) {
+				if reader := int(uses[u].op); reader != i {
+					add(i, reader, 0) // WAR: read at issue, write commits later
 				}
 			}
 			// A guarded definition merges with the previous value, so it
 			// also counts as a use for subsequent writers.
 			lastDef[d] = i
+			useHead[d], useTail[d] = -1, -1
 			if op.Guard != prog.One {
-				usesSinceDef[d] = []int{i}
-			} else {
-				usesSinceDef[d] = nil
+				addUse(d, i)
 			}
 		}
 
 		switch {
 		case info.IsLoad:
-			for _, s := range stores {
-				if mayAlias(op, &body[s]) {
-					add(i, s, 1) // memory RAW
+			for _, st := range stores {
+				if mayAlias(op, &body[st]) {
+					add(i, st, 1) // memory RAW
 				}
 			}
 			loads = append(loads, i)
@@ -365,15 +475,17 @@ func buildDeps(body []prog.Op, t *config.Target) [][]dep {
 					add(i, l, 0) // memory WAR
 				}
 			}
-			for _, s := range stores {
-				if mayAlias(op, &body[s]) {
-					add(i, s, 1) // memory WAW
+			for _, st := range stores {
+				if mayAlias(op, &body[st]) {
+					add(i, st, 1) // memory WAW
 				}
 			}
 			stores = append(stores, i)
 		}
+		predOff[i+1] = len(preds)
 	}
-	return deps
+	s.lastDef, s.useHead, s.useTail, s.uses = lastDef, useHead, useTail, uses
+	s.loads, s.stores, s.predOff, s.preds = loads, stores, predOff, preds
 }
 
 // mayAlias reports whether two memory operations may touch overlapping
@@ -442,17 +554,32 @@ func freeSlot(in *Instr, mask isa.SlotMask) int {
 	return -1
 }
 
+// sortByPriority orders ops by priority descending, then program
+// index ascending. This is a total order, so the result does not depend
+// on the sort algorithm; a block's newly released ops can number in the
+// thousands, so it is not an insertion sort.
 func sortByPriority(idx []int, prio []int) {
-	// Insertion sort: ready lists are short. Stable on index for
-	// determinism (earlier program order wins ties).
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0; j-- {
-			a, b := idx[j-1], idx[j]
-			if prio[b] > prio[a] || (prio[b] == prio[a] && b < a) {
-				idx[j-1], idx[j] = b, a
-			} else {
-				break
-			}
+	slices.SortFunc(idx, func(a, b int) int { return byPriority(a, b, prio) })
+}
+
+// byPriority compares two ops in ready-list order.
+func byPriority(a, b int, prio []int) int {
+	if prio[a] != prio[b] {
+		return prio[b] - prio[a]
+	}
+	return a - b
+}
+
+// mergeByPriority appends to dst the merge of two lists already in
+// ready-list order, and returns it.
+func mergeByPriority(dst, x, y []int, prio []int) []int {
+	for len(x) > 0 && len(y) > 0 {
+		if byPriority(x[0], y[0], prio) < 0 {
+			dst, x = append(dst, x[0]), x[1:]
+		} else {
+			dst, y = append(dst, y[0]), y[1:]
 		}
 	}
+	dst = append(dst, x...)
+	return append(dst, y...)
 }

@@ -6,7 +6,9 @@ import (
 	"tm3270/internal/config"
 	"tm3270/internal/isa"
 	"tm3270/internal/prog"
+	"tm3270/internal/progen"
 	"tm3270/internal/sched"
+	"tm3270/internal/workloads"
 )
 
 func mustSchedule(t *testing.T, p *prog.Program, tgt config.Target) *sched.Code {
@@ -525,5 +527,58 @@ func TestVerifyRejectsDrainViolation(t *testing.T) {
 	}
 	if err := sched.Verify(bad); err == nil {
 		t.Error("verifier accepted a drain violation")
+	}
+}
+
+// mpeg2A returns the largest scheduling input among the workloads:
+// mpeg2_a at the paper's Full scale, whose blocks reach thousands of
+// operations.
+func mpeg2A(tb testing.TB) *prog.Program {
+	tb.Helper()
+	w, err := workloads.ByName("mpeg2_a", workloads.Full())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w.Prog
+}
+
+// BenchmarkSchedule times the list scheduler on its two production
+// shapes: one large kernel (the cold-compile case) and one 64-op
+// generated program (the cosim campaign unit).
+func BenchmarkSchedule(b *testing.B) {
+	d := config.ConfigD()
+	cases := []struct {
+		name string
+		p    *prog.Program
+	}{
+		{"mpeg2_a_full_D", mpeg2A(b)},
+		{"progen64_D", progen.Generate(progen.Config{Seed: 1, Target: &d, Ops: 64})},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.Schedule(c.p, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestScheduleAllocs is an allocation ratchet on the largest kernel.
+// The count is deterministic for a given program and target, so a
+// rise past the ceiling means a per-op or per-cycle allocation crept
+// back into the scheduler.
+func TestScheduleAllocs(t *testing.T) {
+	const ceiling = 2000
+	p, d := mpeg2A(t), config.ConfigD()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := sched.Schedule(p, d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("Schedule(mpeg2_a Full, D) makes %.0f allocations, ceiling %d", allocs, ceiling)
 	}
 }
