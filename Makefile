@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke perfbench-test sched-bench
+.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke perfbench-test sched-bench mem-bench
 
 # Tier-1 gate: lint (vet + tmvet + gofmt), the full test suite under the
 # race detector (includes the concurrent-runner and batch determinism
@@ -19,11 +19,11 @@ GO ?= go
 # the merged aggregate against an unsharded run), the tests of the
 # nested perfbench module, so an API change that breaks the benchmark
 # harness fails here rather than when the benchmark runs, and one
-# iteration of the scheduler benchmark, so it keeps compiling and
-# running. (The race run includes TestBinariesGolden, which pins the
-# compiler's encoded output, and TestScheduleAllocs, the scheduler's
-# allocation ceiling.)
-check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke perfbench-test sched-bench
+# iteration each of the scheduler and memory-image benchmarks, so they
+# keep compiling and running. (The race run includes TestBinariesGolden,
+# which pins the compiler's encoded output, and TestScheduleAllocs, the
+# scheduler's allocation ceiling.)
+check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke perfbench-test sched-bench mem-bench
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,12 @@ bench:
 # keeps compiling and running. For timings, raise -benchtime.
 sched-bench:
 	$(GO) test -run '^$$' -bench Schedule -benchtime 1x ./internal/sched
+
+# mem-bench: one iteration of BenchmarkByteAtTwoPages (page lookups
+# alternating between two pages) and BenchmarkMECheck (the me_ref output
+# check on a full-scale image), so both keep compiling and running.
+mem-bench:
+	$(GO) test -run '^$$' -bench 'ByteAtTwoPages|MECheck' -benchtime 1x ./internal/mem ./internal/workloads
 
 # campaign: both fault campaigns on the campaign engine — the 208-run
 # injection campaign (workload x injector x seed, one compile per

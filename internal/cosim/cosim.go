@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"tm3270/internal/config"
 	"tm3270/internal/encode"
@@ -279,16 +280,13 @@ func diffFinal(sim *tmsim.Machine, simErr error, ref *refmodel.Machine,
 	return nil
 }
 
-// diffMem compares final memory images over the union of touched pages.
+// diffMem compares final memory images over the union of touched
+// pages, in ascending address order, and reports the lowest differing
+// byte.
 func diffMem(f *mem.Func, r *refmodel.Mem) *Divergence {
-	pages := map[uint32]bool{}
-	for _, pa := range f.PageAddrs() {
-		pages[pa] = true
-	}
-	for _, pa := range r.PageAddrs() {
-		pages[pa] = true
-	}
-	for pa := range pages {
+	pages := append(f.PageAddrs(), r.PageAddrs()...)
+	slices.Sort(pages)
+	for _, pa := range slices.Compact(pages) {
 		for i := uint32(0); i < 1<<12; i++ {
 			if a, b := f.ByteAt(pa+i), r.ByteAt(pa+i); a != b {
 				return &Divergence{Kind: "mem",

@@ -10,6 +10,7 @@ import (
 	"tm3270/internal/isa"
 	"tm3270/internal/mem"
 	"tm3270/internal/prog"
+	"tm3270/internal/refmodel"
 	"tm3270/internal/runner"
 	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
@@ -263,4 +264,23 @@ func FuzzCosim(f *testing.F) {
 			t.Fatalf("seed %d ops %d on %s diverged: %s", seed, genOps, target.Name, res.Div)
 		}
 	})
+}
+
+// TestDiffMemLowestAddress: with the images differing on two pages,
+// diffMem reports the lower address on every call, whatever the page
+// order of either image.
+func TestDiffMemLowestAddress(t *testing.T) {
+	f, r := mem.NewFunc(), refmodel.NewMem()
+	for _, pa := range []uint32{0x0300_0000, 0x2000, 0x8000_0000} {
+		f.SetByte(pa, 1)
+		r.SetByte(pa, 1)
+	}
+	f.SetByte(0x0300_0123, 0x11)
+	r.SetByte(0x7000, 0x33) // a page only the reference populated
+	for i := 0; i < 100; i++ {
+		d := diffMem(f, r)
+		if d == nil || d.Kind != "mem" || d.Detail != "byte 0x7000 = 0x0 (pipeline) vs 0x33 (reference)" {
+			t.Fatalf("call %d: diffMem = %+v, want the byte at 0x7000", i, d)
+		}
+	}
 }

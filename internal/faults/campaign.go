@@ -194,11 +194,9 @@ func RunCampaign(cfg CampaignConfig) (*InjectionResult, error) {
 
 // injTarget is one workload prepared for injection: the compiled
 // artifact every run loads and the fault-free reference image every run
-// is diffed against. A mem.Func is not safe for concurrent reads, so
-// the reference is only read under mu.
+// is diffed against. Concurrent runs only read the reference.
 type injTarget struct {
 	art *runner.Artifact
-	mu  sync.Mutex
 	ref *mem.Func
 }
 
@@ -269,9 +267,7 @@ func (r *injectionRunner) Run(ctx context.Context, u campaign.Unit) (campaign.Re
 		ignore := func(addr uint32) bool {
 			return corrupted[addr] || prefetch.IsMMIO(addr)
 		}
-		tgt.mu.Lock()
 		addr, diff := mem.DiffIgnore(res.Machine.Mem, tgt.ref, ignore)
-		tgt.mu.Unlock()
 		if diff {
 			outcome, detail = DetectedDivergence, fmt.Sprintf("memory diverges from reference at %#x", addr)
 		}

@@ -64,45 +64,9 @@ type mutTarget struct {
 	// analyses, not only the structural ones. Its EntryValues are also
 	// the physical entry arguments of every reference run.
 	opts *binverify.Options
-	init *initImage // initial memory image (Init applied)
-}
-
-// pageSize is the page size of an initImage, equal to mem.Func's.
-const pageSize = 1 << 12
-
-// initImage is an immutable copy of a workload's initial memory image.
-// newRef runs on concurrent matrix workers, and a mem.Func is not safe
-// for concurrent use even by readers (reads move its page cache), so
-// the workers read this copy instead.
-type initImage struct {
-	addrs []uint32             // populated page base addresses, ascending
-	pages map[uint32]*initPage // by page base address
-}
-
-// initPage is one page of an initImage: its bytes and, per byte,
-// whether Init wrote it.
-type initPage struct {
-	data    []byte
-	defined []bool
-}
-
-// snapshotImage copies m into an initImage.
-func snapshotImage(m *mem.Func) *initImage {
-	img := &initImage{addrs: m.PageAddrs(), pages: make(map[uint32]*initPage)}
-	for _, pa := range img.addrs {
-		pg := &initPage{data: m.ReadBytes(pa, pageSize), defined: make([]bool, pageSize)}
-		for i := range pg.defined {
-			pg.defined[i] = m.Defined(pa+uint32(i), 1)
-		}
-		img.pages[pa] = pg
-	}
-	return img
-}
-
-// defined reports whether Init wrote the byte at addr.
-func (img *initImage) defined(addr uint32) bool {
-	pg := img.pages[addr&^(pageSize-1)]
-	return pg != nil && pg.defined[addr&(pageSize-1)]
+	// init is the initial memory image (Init applied). Concurrent
+	// matrix workers read it and nothing writes it after setup.
+	init *mem.Func
 }
 
 // newMutTarget compiles and verifies the workload's golden image. The
@@ -132,7 +96,7 @@ func newMutTarget(name string, cfg *MatrixConfig) (*mutTarget, error) {
 			return nil, fmt.Errorf("init: %w", err)
 		}
 	}
-	return &mutTarget{w: w, enc: art.Enc.Bytes, n: n, baseline: baseline, opts: opts, init: snapshotImage(init)}, nil
+	return &mutTarget{w: w, enc: art.Enc.Bytes, n: n, baseline: baseline, opts: opts, init: init}, nil
 }
 
 // mutate writes the seeded single-bit mutant of the golden image into
@@ -156,14 +120,14 @@ func (t *mutTarget) mutate(seed int64, img []byte) {
 // masking zeros a single fixed initial state offers.
 func (t *mutTarget) newRef(dec []encode.DecInstr, target *config.Target, mseed int64) *refmodel.Machine {
 	image := refmodel.NewMem()
-	for _, pa := range t.init.addrs {
-		image.WriteBytes(pa, t.init.pages[pa].data)
+	for _, pa := range t.init.PageAddrs() {
+		image.WriteBytes(pa, t.init.ReadBytes(pa, 1<<12))
 	}
 	if mseed != 0 {
 		rng := rand.New(rand.NewSource(mseed * 0x9E3779B9))
 		for _, reg := range t.w.Regions {
 			for addr := reg.Lo; addr < reg.Hi; addr++ {
-				if prefetch.IsMMIO(addr) || t.init.defined(addr) {
+				if prefetch.IsMMIO(addr) || t.init.Defined(addr, 1) {
 					continue
 				}
 				image.SetByte(addr, byte(rng.Intn(256)))

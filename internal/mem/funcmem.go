@@ -3,8 +3,6 @@
 // processor's bus interface unit.
 package mem
 
-import "sort"
-
 // pageBits selects a 4 KB page granularity for the sparse image.
 const pageBits = 12
 
@@ -28,22 +26,29 @@ type page struct {
 	valid [1 << (pageBits - 3)]byte
 }
 
+// Radix-table geometry: a 32-bit address splits into a directory
+// index, a leaf index and a page offset.
+const (
+	dirBits  = 10
+	leafBits = 32 - dirBits - pageBits
+)
+
+// leaf is one second-level table: the pages of a 4 MB span.
+type leaf [1 << leafBits]*page
+
 // Func is a sparse functional memory image over the full 32-bit address
 // space. All multi-byte accesses are big-endian and may be non-aligned,
 // matching the ISA's memory semantics. The zero value is an empty image
 // reading as zero everywhere.
 //
-// A Func is private to one machine (like its register file) and not
-// safe for concurrent use: even reads go through a one-entry page
-// cache that keeps the hot loop off the page map.
+// Pages are found through a two-level radix table, so a lookup is two
+// indexed loads and a read never writes to the Func. Any number of
+// goroutines may read one Func concurrently (a Fault tap, which sees
+// every Load, must allow that too); a writer — Store, SetByte,
+// WriteBytes, FlipBit — needs exclusive access.
 type Func struct {
-	pages map[uint32]*page
-
-	// One-entry page cache. Pages are never removed, so a cached
-	// pointer can only go stale by never being populated, not by
-	// pointing at dead state.
-	lastIdx  uint32
-	lastPage *page
+	dir    [1 << dirBits]*leaf
+	npages int // populated pages
 
 	// Fault, when non-nil, taps every Load (fault injection).
 	Fault LoadFault
@@ -51,21 +56,24 @@ type Func struct {
 
 // NewFunc returns an empty memory image.
 func NewFunc() *Func {
-	return &Func{pages: make(map[uint32]*page)}
+	return new(Func)
 }
 
 func (m *Func) page(addr uint32, create bool) *page {
-	idx := addr >> pageBits
-	if m.lastPage != nil && m.lastIdx == idx {
-		return m.lastPage
+	l := m.dir[addr>>(32-dirBits)]
+	if l == nil {
+		if !create {
+			return nil
+		}
+		l = new(leaf)
+		m.dir[addr>>(32-dirBits)] = l
 	}
-	p := m.pages[idx]
+	li := addr >> pageBits & (1<<leafBits - 1)
+	p := l[li]
 	if p == nil && create {
 		p = new(page)
-		m.pages[idx] = p
-	}
-	if p != nil {
-		m.lastIdx, m.lastPage = idx, p
+		l[li] = p
+		m.npages++
 	}
 	return p
 }
@@ -84,7 +92,7 @@ func (m *Func) Mapped(addr uint32, n int) bool {
 		return m.Mapped(addr, int(-addr)) && m.Mapped(0, n-int(-addr))
 	}
 	for idx := first; idx <= last; idx++ {
-		if m.pages[idx] == nil {
+		if m.page(idx<<pageBits, false) == nil {
 			return false
 		}
 	}
@@ -114,14 +122,19 @@ func (m *Func) Defined(addr uint32, n int) bool {
 }
 
 // PageAddrs returns the base addresses of all populated pages in
-// ascending order. Fault injectors use it to pick corruption targets
-// deterministically (map iteration order is randomized).
+// ascending order, the order of the radix table walk.
 func (m *Func) PageAddrs() []uint32 {
-	out := make([]uint32, 0, len(m.pages))
-	for idx := range m.pages {
-		out = append(out, idx<<pageBits)
+	out := make([]uint32, 0, m.npages)
+	for di, l := range &m.dir {
+		if l == nil {
+			continue
+		}
+		for li, p := range l {
+			if p != nil {
+				out = append(out, uint32(di)<<(32-dirBits)|uint32(li)<<pageBits)
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -194,16 +207,23 @@ func (m *Func) WriteBytes(addr uint32, b []byte) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr into a fresh slice.
+// ReadBytes copies n bytes starting at addr into a fresh slice, one
+// page at a time.
 func (m *Func) ReadBytes(addr uint32, n int) []byte {
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = m.ByteAt(addr + uint32(i))
+	for i := 0; i < n; {
+		a := addr + uint32(i)
+		off := a & (1<<pageBits - 1)
+		k := min(n-i, 1<<pageBits-int(off))
+		if p := m.page(a, false); p != nil {
+			copy(b[i:i+k], p.data[off:])
+		}
+		i += k
 	}
 	return b
 }
 
-// Diff returns the first address at which the two images differ. It
+// Diff returns the lowest address at which the two images differ. It
 // compares the union of both images' populated pages.
 func Diff(a, b *Func) (uint32, bool) {
 	return DiffIgnore(a, b, nil)
@@ -212,26 +232,37 @@ func Diff(a, b *Func) (uint32, bool) {
 // DiffIgnore is Diff with an optional skip predicate: addresses for
 // which ignore returns true are not compared. Fault campaigns use it to
 // exclude the injected corruption sites themselves when deciding
-// whether a fault propagated.
+// whether a fault propagated. Pages are walked in ascending order, so
+// the address returned is the lowest differing one.
 func DiffIgnore(a, b *Func, ignore func(addr uint32) bool) (uint32, bool) {
-	pages := map[uint32]bool{}
-	for idx := range a.pages {
-		pages[idx] = true
-	}
-	for idx := range b.pages {
-		pages[idx] = true
-	}
-	for idx := range pages {
-		base := idx << pageBits
-		for off := uint32(0); off < 1<<pageBits; off++ {
-			addr := base + off
-			if ignore != nil && ignore(addr) {
+	for di := range a.dir {
+		if a.dir[di] == nil && b.dir[di] == nil {
+			continue
+		}
+		for li := range 1 << leafBits {
+			pa, pb := a.dir[di].at(li), b.dir[di].at(li)
+			if pa == pb {
 				continue
 			}
-			if a.ByteAt(addr) != b.ByteAt(addr) {
-				return addr, true
+			base := uint32(di)<<(32-dirBits) | uint32(li)<<pageBits
+			for off := range pa.data {
+				addr := base + uint32(off)
+				if pa.data[off] != pb.data[off] && (ignore == nil || !ignore(addr)) {
+					return addr, true
+				}
 			}
 		}
 	}
 	return 0, false
+}
+
+// zeroPage stands in for an unpopulated page when diffing.
+var zeroPage page
+
+// at returns page i of l, or zeroPage where l or the page is absent.
+func (l *leaf) at(i int) *page {
+	if l == nil || l[i] == nil {
+		return &zeroPage
+	}
+	return l[i]
 }

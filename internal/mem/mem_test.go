@@ -1,6 +1,8 @@
 package mem_test
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +80,153 @@ func TestFuncSparsePagesReadZero(t *testing.T) {
 		}
 	}
 }
+
+// TestFuncZeroValue: the zero Func is an empty image, usable without
+// NewFunc.
+func TestFuncZeroValue(t *testing.T) {
+	var m mem.Func
+	if m.ByteAt(0x1234) != 0 || m.Load(0xffff_fffc, 8) != 0 {
+		t.Error("zero Func must read as zero")
+	}
+	if m.Mapped(0, 1) || m.Defined(0, 1) || len(m.PageAddrs()) != 0 {
+		t.Error("zero Func must have no pages")
+	}
+	if _, diff := mem.Diff(&m, mem.NewFunc()); diff {
+		t.Error("zero Func must equal an empty image")
+	}
+	m.Store(0x40, 2, 0xbeef)
+	if m.Load(0x40, 2) != 0xbeef || !m.Defined(0x40, 2) {
+		t.Error("zero Func must accept stores")
+	}
+}
+
+// TestFuncAddressExtremes: the first and the last page of the address
+// space are ordinary pages.
+func TestFuncAddressExtremes(t *testing.T) {
+	m := mem.NewFunc()
+	m.Store(0, 4, 0x01020304)
+	m.Store(0xffff_f000, 4, 0x05060708)
+	m.SetByte(0xffff_ffff, 0x09)
+	if m.Load(0, 4) != 0x01020304 || m.Load(0xffff_f000, 4) != 0x05060708 || m.ByteAt(0xffff_ffff) != 0x09 {
+		t.Error("bytes at the ends of the address space did not round-trip")
+	}
+	if got := m.PageAddrs(); !slices.Equal(got, []uint32{0, 0xffff_f000}) {
+		t.Errorf("PageAddrs = %#x, want [0 0xfffff000]", got)
+	}
+}
+
+// TestFuncWrapAround: an access that runs past 0xffffffff continues at
+// address 0, for loads, stores and the page-granular Mapped check.
+func TestFuncWrapAround(t *testing.T) {
+	m := mem.NewFunc()
+	if m.Mapped(0xffff_fffe, 4) {
+		t.Error("wrapping range over empty pages reported mapped")
+	}
+	m.Store(0xffff_fffe, 4, 0xa1b2c3d4)
+	if m.ByteAt(0xffff_ffff) != 0xb2 || m.ByteAt(0) != 0xc3 || m.ByteAt(1) != 0xd4 {
+		t.Error("wrapping store must continue at address 0")
+	}
+	if got := m.Load(0xffff_fffe, 4); got != 0xa1b2c3d4 {
+		t.Errorf("wrapping load = %#x", got)
+	}
+	if !m.Mapped(0xffff_fffe, 4) || !m.Defined(0xffff_fffe, 4) {
+		t.Error("wrapping range over written bytes must be mapped and defined")
+	}
+	m2 := mem.NewFunc()
+	m2.SetByte(0xffff_ffff, 1)
+	if m2.Mapped(0xffff_ffff, 2) {
+		t.Error("wrap onto an unpopulated page 0 reported mapped")
+	}
+}
+
+// TestFuncPageAddrsAscending: pages come back in ascending order across
+// directory entries, whatever the order they were populated in.
+func TestFuncPageAddrsAscending(t *testing.T) {
+	m := mem.NewFunc()
+	want := []uint32{0x0000_1000, 0x003f_f000, 0x0040_0000, 0x0a00_0000, 0x8000_0000}
+	for _, i := range []int{3, 0, 4, 2, 1, 3} {
+		m.SetByte(want[i]+7, 1)
+	}
+	if got := m.PageAddrs(); !slices.Equal(got, want) {
+		t.Errorf("PageAddrs = %#x, want %#x", got, want)
+	}
+}
+
+// TestDiffLowestAddress: with differences on two pages, Diff reports
+// the lower address, every time.
+func TestDiffLowestAddress(t *testing.T) {
+	a, b := mem.NewFunc(), mem.NewFunc()
+	for _, pa := range []uint32{0x1000, 0x5000, 0x0200_0000, 0x9000_0000} {
+		a.SetByte(pa, 1)
+		b.SetByte(pa, 1)
+	}
+	a.SetByte(0x9000_0010, 2)
+	a.SetByte(0x5020, 3)
+	b.SetByte(0x0200_0040, 4)
+	for i := 0; i < 100; i++ {
+		if addr, diff := mem.Diff(a, b); !diff || addr != 0x5020 {
+			t.Fatalf("call %d: Diff = %#x, %v; want 0x5020", i, addr, diff)
+		}
+	}
+	ignore := func(addr uint32) bool { return addr == 0x5020 }
+	if addr, _ := mem.DiffIgnore(a, b, ignore); addr != 0x0200_0040 {
+		t.Errorf("DiffIgnore = %#x, want 0x2000040", addr)
+	}
+}
+
+// TestFuncConcurrentReaders: any number of goroutines may read one
+// image that nobody writes (run under -race).
+func TestFuncConcurrentReaders(t *testing.T) {
+	m := mem.NewFunc()
+	for pa := uint32(0); pa < 8; pa++ {
+		m.Store(pa<<22|0x3ffc, 8, 0x0102030405060708*uint64(pa+1))
+	}
+	other := mem.NewFunc()
+	for _, pa := range m.PageAddrs() {
+		other.WriteBytes(pa, m.ReadBytes(pa, 1<<12))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				pa := uint32(i%8) << 22
+				want := 0x0102030405060708 * uint64(i%8+1)
+				if m.Load(pa|0x3ffc, 8) != want || m.ByteAt(pa|0x3fff) != byte(want>>32) || !m.Defined(pa|0x3ffc, 8) {
+					t.Error("concurrent read saw the wrong image")
+					return
+				}
+				if _, diff := mem.Diff(m, other); diff {
+					t.Error("concurrent Diff of equal images differs")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkByteAtTwoPages alternates between two pages, the access
+// pattern of the motion-estimation check (current and reference frame).
+func BenchmarkByteAtTwoPages(b *testing.B) {
+	const cur, ref = 0x0a00_0000, 0x0a80_0680
+	m := mem.NewFunc()
+	for i := uint32(0); i < 1<<12; i++ {
+		m.SetByte(cur+i, byte(i))
+		m.SetByte(ref+i, byte(i*3))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum int
+	for i := 0; i < b.N; i++ {
+		off := uint32(i) & (1<<12 - 1)
+		sum += int(m.ByteAt(cur+off)) - int(m.ByteAt(ref+off))
+	}
+	sink = sum
+}
+
+var sink int
 
 func TestBIUTimingShape(t *testing.T) {
 	tgt := config.TM3270()

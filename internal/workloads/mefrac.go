@@ -259,12 +259,13 @@ func interpWord(b *prog.Builder, dst, a, bword, k16f, kf, rnd8, mask,
 	b.Pack16LSB(dst, xh, xl)
 }
 
-// meCheck replicates the kernel's search exactly in Go.
+// meCheck replicates the kernel's search exactly in Go, over copies of
+// the current and reference frames read from the final image.
 func meCheck(mp MEParams, blocksX, blocksY int) func(*mem.Func) error {
 	return func(m *mem.Func) error {
 		stride := mp.W
-		curAt := func(x, y int) int32 { return int32(m.ByteAt(meCurBase + uint32(y*stride+x))) }
-		refAt := func(x, y int) int32 { return int32(m.ByteAt(meRefBase + uint32(y*stride+x))) }
+		cur := m.ReadBytes(meCurBase, mp.W*mp.H)
+		ref := m.ReadBytes(meRefBase, mp.W*mp.H)
 		blk := 0
 		for by := 0; by < blocksY; by++ {
 			for bx := 0; bx < blocksX; bx++ {
@@ -274,13 +275,7 @@ func meCheck(mp MEParams, blocksX, blocksY int) func(*mem.Func) error {
 					for dx := 0; dx < 9; dx++ {
 						var sad int64
 						for r := 0; r < 8; r++ {
-							for c := 0; c < 8; c++ {
-								d := curAt(cx+c, cy+r) - refAt(cx-4+dx+c, cy-4+dy+r)
-								if d < 0 {
-									d = -d
-								}
-								sad += int64(d)
-							}
+							sad += sad8(cur[(cy+r)*stride+cx:][:8], ref[(cy-4+dy+r)*stride+cx-4+dx:][:8])
 						}
 						if sad < best {
 							best, bestIdx = sad, dy*16+dx
@@ -290,16 +285,7 @@ func meCheck(mp MEParams, blocksX, blocksY int) func(*mem.Func) error {
 				for f := 1; f < 16; f += 2 {
 					var sad int64
 					for r := 0; r < 8; r++ {
-						for c := 0; c < 8; c++ {
-							a := refAt(cx+c, cy+r)
-							nb := refAt(cx+c+1, cy+r)
-							v := (a*(16-int32(f)) + nb*int32(f) + 8) >> 4
-							d := curAt(cx+c, cy+r) - v
-							if d < 0 {
-								d = -d
-							}
-							sad += int64(d)
-						}
+						sad += fracSAD8(cur[(cy+r)*stride+cx:][:8], ref[(cy+r)*stride+cx:][:9], int32(f))
 					}
 					if sad < best {
 						best, bestIdx = sad, 256+f
@@ -316,4 +302,34 @@ func meCheck(mp MEParams, blocksX, blocksY int) func(*mem.Func) error {
 		}
 		return nil
 	}
+}
+
+// sad8 is the sum of absolute differences of two 8-pixel rows.
+func sad8(cur, ref []byte) int64 {
+	cur, ref = cur[:8], ref[:8]
+	var sad int64
+	for c := range cur {
+		d := int32(cur[c]) - int32(ref[c])
+		if d < 0 {
+			d = -d
+		}
+		sad += int64(d)
+	}
+	return sad
+}
+
+// fracSAD8 is the SAD of an 8-pixel current row against the reference
+// row interpolated f/16 of a pixel to the right; ref holds 9 pixels.
+func fracSAD8(cur, ref []byte, f int32) int64 {
+	cur, ref = cur[:8], ref[:9]
+	var sad int64
+	for c := range cur {
+		v := (int32(ref[c])*(16-f) + int32(ref[c+1])*f + 8) >> 4
+		d := int32(cur[c]) - v
+		if d < 0 {
+			d = -d
+		}
+		sad += int64(d)
+	}
+	return sad
 }

@@ -8,6 +8,7 @@ import (
 	"tm3270/internal/mem"
 	"tm3270/internal/prog"
 	"tm3270/internal/regalloc"
+	"tm3270/internal/runner"
 	"tm3270/internal/sched"
 	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
@@ -265,6 +266,64 @@ func TestMotionEstVariants(t *testing.T) {
 	runOn(t, workloads.MotionEst(workloads.MEParams{W: 48, H: 32}), config.ConfigA())
 	if _, err := sched.Schedule(opt.Prog, config.ConfigA()); err == nil {
 		t.Error("TM3260 accepted LD_FRAC8")
+	}
+}
+
+// TestMECheckDetectsCorruption: the motion-estimation check re-runs the
+// whole search and compares every block, so it passes on the kernel's
+// own output and fails when one block's SAD word or another block's
+// index word is changed.
+func TestMECheckDetectsCorruption(t *testing.T) {
+	for _, mp := range []workloads.MEParams{{W: 48, H: 32}, {W: 48, H: 32, UseFrac8: true}} {
+		w := workloads.MotionEst(mp)
+		t.Run(w.Name, func(t *testing.T) {
+			image := runOn(t, w, config.ConfigD()).Mem
+			if err := w.Check(image); err != nil {
+				t.Fatalf("check of the untouched output: %v", err)
+			}
+			out := regionNamed(t, w, "out").Lo
+			nblocks := ((mp.W - 8) / 8) * ((mp.H - 8) / 8)
+			for _, word := range []uint32{out + 8*2, out + 8*uint32(nblocks-1) + 4} {
+				v := image.Load(word, 4)
+				image.Store(word, 4, v^1)
+				if err := w.Check(image); err == nil {
+					t.Errorf("check passed with the word at %#x corrupted", word)
+				}
+				image.Store(word, 4, v)
+			}
+		})
+	}
+}
+
+// regionNamed returns the workload's declared region of that name.
+func regionNamed(t *testing.T, w *workloads.Spec, name string) mem.Region {
+	t.Helper()
+	for _, r := range w.Regions {
+		if r.Name == name {
+			return r
+		}
+	}
+	t.Fatalf("%s declares no %q region", w.Name, name)
+	return mem.Region{}
+}
+
+// BenchmarkMECheck times the motion-estimation output check on a
+// correct full-scale me_ref image.
+func BenchmarkMECheck(b *testing.B) {
+	w, err := workloads.ByName("me_ref", workloads.Full())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := runner.RunContext(context.Background(), w, config.ConfigD())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.Check(res.Machine.Mem); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
