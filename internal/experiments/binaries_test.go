@@ -18,7 +18,7 @@ import (
 	"tm3270/internal/workloads"
 )
 
-var updateBinaries = flag.Bool("update", false, "rewrite testdata/binaries.golden")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden fingerprints")
 
 // goldenTarget is a compile target under its short golden-file label.
 type goldenTarget struct {
@@ -94,7 +94,8 @@ func binariesFingerprint(t *testing.T) []string {
 }
 
 // splitGolden parses fingerprint lines into key -> field -> value. A
-// gen line's single value is stored under the field "sha256".
+// gen line holding a single bare value stores it under the field
+// "sha256".
 func splitGolden(lines []string) (map[string]map[string]string, []string) {
 	m := make(map[string]map[string]string, len(lines))
 	var order []string
@@ -107,7 +108,7 @@ func splitGolden(lines []string) (map[string]map[string]string, []string) {
 		switch {
 		case strings.HasPrefix(rest, "error="):
 			fields["error"] = strings.TrimPrefix(rest, "error=")
-		case strings.HasPrefix(key, "gen "):
+		case strings.HasPrefix(key, "gen ") && !strings.Contains(rest, "="):
 			fields["sha256"] = rest
 		default:
 			for _, f := range strings.Fields(rest) {
@@ -129,9 +130,17 @@ func splitGolden(lines []string) (map[string]map[string]string, []string) {
 // reproduce it byte for byte; rerun with -update only for a deliberate
 // change of compiler output, and name every moved pair in the change.
 func TestBinariesGolden(t *testing.T) {
-	got := binariesFingerprint(t)
-	path := filepath.Join("testdata", "binaries.golden")
-	if *updateBinaries {
+	checkGolden(t, "binaries.golden", binariesFingerprint(t),
+		[]string{"sha256", "instrs", "pad", "error"}, "compiler output")
+}
+
+// checkGolden compares fingerprint lines against testdata/<file>
+// (rewriting it first under -update) and names every pair and field
+// that moved.
+func checkGolden(t *testing.T, file string, got, fields []string, what string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +179,7 @@ func TestBinariesGolden(t *testing.T) {
 			continue
 		}
 		w := want[key]
-		for _, field := range []string{"sha256", "instrs", "pad", "error"} {
+		for _, field := range fields {
 			if w[field] != h[field] {
 				report("%s: %s moved: got %q, want %q", key, field, h[field], w[field])
 			}
@@ -185,6 +194,6 @@ func TestBinariesGolden(t *testing.T) {
 		t.Errorf("... and %d more mismatches", reports-maxReports)
 	}
 	if reports > 0 {
-		t.Errorf("compiler output changed (rerun with -update if deliberate)")
+		t.Errorf("%s changed (rerun with -update if deliberate)", what)
 	}
 }
