@@ -210,6 +210,19 @@ type vop struct {
 	target uint32 // jump target byte address
 }
 
+// regsValid reports whether every register the operation names lies in
+// the register file.
+func (v *vop) regsValid() bool {
+	ok := v.guard.Valid()
+	for _, r := range v.srcs {
+		ok = ok && r.Valid()
+	}
+	for _, r := range v.dests {
+		ok = ok && r.Valid()
+	}
+	return ok
+}
+
 // mn returns the mnemonic for diagnostics.
 func (v *vop) mn() string { return v.info.Name }
 
@@ -226,21 +239,23 @@ type verifier struct {
 	jumps []jumpRef
 
 	uninitOn     bool
-	entryDefined map[isa.Reg]bool
+	entryDefined regSet
 
 	// Semantic-layer results (nil/empty until the passes run).
-	dom    []bitset     // dom[i]: nodes dominating i (reachable nodes only)
-	loops  []*loop      // natural loops, merged by header
-	ranges []rangeState // per-node register intervals at entry
+	dom    []bitset      // dom[i]: nodes dominating i (reachable nodes only)
+	loops  []*loop       // natural loops, merged by header
+	rdom   *regDomain    // registers the range analysis tracks
+	ranges []*rangeState // per-node register intervals at entry (nil: unreached)
 }
 
 func newVerifier(dec []encode.DecInstr, t *config.Target, opts *Options) *verifier {
 	v := &verifier{dec: dec, t: t, rep: &Report{}, opts: opts}
 	if opts != nil && opts.EntryDefined != nil {
 		v.uninitOn = true
-		v.entryDefined = make(map[isa.Reg]bool, len(opts.EntryDefined)+2)
 		for _, r := range opts.EntryDefined {
-			v.entryDefined[r] = true
+			if r.Valid() {
+				v.entryDefined.add(r)
+			}
 		}
 	}
 	return v
@@ -267,6 +282,7 @@ func (v *verifier) semantic() {
 	v.buildPreds()
 	v.dominators()
 	v.findLoops()
+	v.buildRegDomain()
 	v.rangeFixpoint(nil)                  // widen induction candidates to top
 	v.inferLoopBounds()                   // needs entry-edge intervals from the first pass
 	v.rangeFixpoint(v.boundedWidenings()) // re-run with per-loop clamps
@@ -340,6 +356,13 @@ func (v *verifier) extract() {
 					}
 					s++ // extension half consumed
 				}
+			}
+			if !op.regsValid() {
+				// Decode reads 7-bit register fields, so this too only
+				// fires on decoded streams built by hand.
+				v.diag(i, op.slot, info.Name, CheckEncoding, Error,
+					"operand register outside the %d-entry register file", isa.NumRegs)
+				continue
 			}
 			v.ops[i] = append(v.ops[i], op)
 		}

@@ -82,7 +82,7 @@ var r2, r3, r4, r5, r10, r11, r12, r13, r14, r15 = isa.Reg(2), isa.Reg(3),
 // (entry values, memory map, loop-bound annotations) — the same
 // contract runner.(*Artifact).VerifyOptions ships to production
 // callers, rebuilt here because the runner package imports this one.
-func compileWorkload(t *testing.T, w *workloads.Spec, tgt config.Target) ([]encode.DecInstr, *Options, error) {
+func compileWorkload(t testing.TB, w *workloads.Spec, tgt config.Target) ([]encode.DecInstr, *Options, error) {
 	t.Helper()
 	code, err := sched.Schedule(w.Prog, tgt)
 	if err != nil {
@@ -397,6 +397,27 @@ func TestEmptyStream(t *testing.T) {
 	tgt := config.TM3270()
 	if rep := Verify(nil, &tgt, nil); !rep.Clean() {
 		t.Errorf("empty stream flagged: %v", checks(rep))
+	}
+}
+
+// TestRegisterOutOfRange feeds a hand-built stream naming registers
+// past the 128-entry file (Decode cannot produce one) with every
+// analysis on: the op is reported, never indexed.
+func TestRegisterOutOfRange(t *testing.T) {
+	tgt := config.TM3270()
+	dec := stream(
+		[5]*encode.DecOp{op(isa.OpIADD, isa.R1, r2, isa.Reg(200), r10)},
+		[5]*encode.DecOp{op(isa.OpIADD, isa.Reg(130), r2, r3, r11)},
+		[5]*encode.DecOp{op(isa.OpIADD, isa.R1, r2, r3, isa.Reg(255))},
+	)
+	opts := &Options{EntryDefined: []isa.Reg{r2, r3, isa.Reg(140)},
+		EntryValues: map[isa.Reg]uint32{r2: 1, isa.Reg(140): 2}}
+	rep := Verify(dec, &tgt, opts)
+	for i := 0; i < 3; i++ {
+		wantCheck(t, rep, CheckEncoding, Error, i)
+	}
+	if len(rep.Diags) != 3 {
+		t.Errorf("want 3 diagnostics, got %v", checks(rep))
 	}
 }
 

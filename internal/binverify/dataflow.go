@@ -1,9 +1,75 @@
 package binverify
 
 import (
+	"math/bits"
+
 	"tm3270/internal/isa"
 	"tm3270/internal/sched"
 )
+
+// regSet is a set of register numbers, or of positions in the range
+// analysis' register domain (never more than isa.NumRegs), one bit each.
+type regSet [isa.NumRegs / 64]uint64
+
+func (s *regSet) add(r isa.Reg)      { s[r/64] |= 1 << (r % 64) }
+func (s *regSet) del(r isa.Reg)      { s[r/64] &^= 1 << (r % 64) }
+func (s *regSet) has(r isa.Reg) bool { return s[r/64]&(1<<(r%64)) != 0 }
+
+// intersect ands o into s, reporting whether s changed.
+func (s *regSet) intersect(o *regSet) bool {
+	changed := false
+	for w := range s {
+		if n := s[w] & o[w]; n != s[w] {
+			s[w] = n
+			changed = true
+		}
+	}
+	return changed
+}
+
+// each calls f for every member in ascending order. f may remove
+// members; the walk covers the members present when it started.
+func (s *regSet) each(f func(r isa.Reg)) {
+	for w, word := range *s {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << b
+			f(isa.Reg(w*64 + b))
+		}
+	}
+}
+
+// worklist is the fixpoints' FIFO of node indices, each queued at most
+// once: a ring over n slots, so no visit allocates.
+type worklist struct {
+	buf     []int
+	head, n int
+	queued  []bool
+}
+
+func newWorklist(n int) *worklist {
+	return &worklist{buf: make([]int, n), queued: make([]bool, n)}
+}
+
+func (w *worklist) empty() bool { return w.n == 0 }
+
+// push queues node i unless it is already queued.
+func (w *worklist) push(i int) {
+	if w.queued[i] {
+		return
+	}
+	w.queued[i] = true
+	w.buf[(w.head+w.n)%len(w.buf)] = i
+	w.n++
+}
+
+func (w *worklist) pop() int {
+	i := w.buf[w.head]
+	w.head = (w.head + 1) % len(w.buf)
+	w.n--
+	w.queued[i] = false
+	return i
+}
 
 // The latency analysis tracks, per register, how many instructions
 // remain until an in-flight write commits. The pipeline commits a write
@@ -16,40 +82,22 @@ import (
 // must-analysis (join = intersection): a register is defined only if
 // every path to the node wrote it unconditionally.
 type dfState struct {
-	pend map[isa.Reg]int  // instructions until the in-flight write commits
-	def  map[isa.Reg]bool // nil when the uninit analysis is off
+	pend [isa.NumRegs]int32 // instructions until the in-flight write commits
+	def  regSet             // defined registers; tracked only when v.uninitOn
 }
 
-func (s *dfState) clone() *dfState {
-	c := &dfState{pend: make(map[isa.Reg]int, len(s.pend))}
-	for r, p := range s.pend {
-		c.pend[r] = p
-	}
-	if s.def != nil {
-		c.def = make(map[isa.Reg]bool, len(s.def))
-		for r := range s.def {
-			c.def[r] = true
-		}
-	}
-	return c
-}
-
-// mergeFrom joins o into s, reporting whether s changed.
-func (s *dfState) mergeFrom(o *dfState) bool {
+// mergeFrom joins o into s, reporting whether s changed. The defined
+// sets intersect only when the uninit analysis is on.
+func (s *dfState) mergeFrom(o *dfState, uninit bool) bool {
 	changed := false
-	for r, p := range o.pend {
+	for r, p := range &o.pend {
 		if p > s.pend[r] {
 			s.pend[r] = p
 			changed = true
 		}
 	}
-	if s.def != nil {
-		for r := range s.def {
-			if !o.def[r] {
-				delete(s.def, r)
-				changed = true
-			}
-		}
+	if uninit && s.def.intersect(&o.def) {
+		changed = true
 	}
 	return changed
 }
@@ -65,20 +113,21 @@ func neverExec(op *vop) bool {
 }
 
 // transfer computes the state at the next node's entry from the state
-// at node i's entry, emitting diagnostics when report is set. Reads
-// observe the entry state (operands are gathered before any write of
-// the same instruction commits).
-func (v *verifier) transfer(i int, in *dfState, report bool) *dfState {
+// at node i's entry into out, emitting diagnostics when report is set.
+// Reads observe the entry state (operands are gathered before any write
+// of the same instruction commits).
+func (v *verifier) transfer(i int, in, out *dfState, report bool) {
 	if report {
 		for k := range v.ops[i] {
 			op := &v.ops[i][k]
 			if neverExec(op) {
 				continue
 			}
-			regs := make([]isa.Reg, 0, 5)
-			regs = append(regs, op.guard)
-			regs = append(regs, op.srcs...)
-			for _, r := range regs {
+			for j := -1; j < len(op.srcs); j++ {
+				r := op.guard
+				if j >= 0 {
+					r = op.srcs[j]
+				}
 				if r.Hardwired() {
 					continue
 				}
@@ -86,7 +135,7 @@ func (v *verifier) transfer(i int, in *dfState, report bool) *dfState {
 					v.diag(i, op.slot, op.mn(), CheckLatency, Error,
 						"reads %s %d instruction(s) before its in-flight write commits", r, p)
 				}
-				if in.def != nil && !in.def[r] {
+				if v.uninitOn && !in.def.has(r) {
 					v.diag(i, op.slot, op.mn(), CheckUninit, Warn,
 						"reads %s, which may be uninitialized on some path to this instruction", r)
 				}
@@ -94,11 +143,9 @@ func (v *verifier) transfer(i int, in *dfState, report bool) *dfState {
 		}
 	}
 
-	out := in.clone()
-	for r, p := range out.pend {
-		if p <= 1 {
-			delete(out.pend, r)
-		} else {
+	*out = *in
+	for r, p := range &out.pend {
+		if p > 0 {
 			out.pend[r] = p - 1
 		}
 	}
@@ -107,7 +154,7 @@ func (v *verifier) transfer(i int, in *dfState, report bool) *dfState {
 		if neverExec(op) {
 			continue
 		}
-		lat := v.t.OpLatency(op.oc)
+		lat := int32(v.t.OpLatency(op.oc))
 		for _, d := range op.dests {
 			if d.Hardwired() {
 				continue
@@ -119,65 +166,58 @@ func (v *verifier) transfer(i int, in *dfState, report bool) *dfState {
 				v.diag(i, op.slot, op.mn(), CheckWAW, Error,
 					"writes %s while an earlier write is still in flight and commits no earlier (WAW order violation)", d)
 			}
-			if lat > 1 {
-				out.pend[d] = lat - 1
-			} else {
-				delete(out.pend, d)
-			}
+			out.pend[d] = max(lat-1, 0)
 			// A guarded (if-converted) write still defines the register for
 			// the may-uninit analysis: flagging it would drown real
 			// never-written-on-some-path reads in false positives.
-			if out.def != nil {
-				out.def[d] = true
+			if v.uninitOn {
+				out.def.add(d)
 			}
 		}
 	}
-	return out
 }
 
 // dataflow runs the worklist fixpoint over the CFG, then a final
-// deterministic reporting pass in instruction order.
+// deterministic reporting pass in instruction order. Node states live
+// in one slab; a node's state is first written when the node is
+// reached, and one scratch state carries every transfer's result.
 func (v *verifier) dataflow() {
 	n := len(v.dec)
-	entry := &dfState{pend: map[isa.Reg]int{}}
+	states := make([]dfState, n)
+	reached := make([]bool, n)
+	reached[0] = true
 	if v.uninitOn {
-		entry.def = map[isa.Reg]bool{isa.R0: true, isa.R1: true}
-		for r := range v.entryDefined {
-			entry.def[r] = true
-		}
+		states[0].def = v.entryDefined
+		states[0].def.add(isa.R0)
+		states[0].def.add(isa.R1)
 	}
 
-	states := make([]*dfState, n)
-	states[0] = entry
-	work := []int{0}
-	queued := make([]bool, n)
-	queued[0] = true
-	for len(work) > 0 {
-		i := work[0]
-		work = work[1:]
-		queued[i] = false
-		out := v.transfer(i, states[i], false)
+	var out dfState
+	work := newWorklist(n)
+	work.push(0)
+	for !work.empty() {
+		i := work.pop()
+		v.transfer(i, &states[i], &out, false)
 		for _, s := range v.succ[i] {
 			if s >= n {
 				continue // exit
 			}
-			changed := false
-			if states[s] == nil {
-				states[s] = out.clone()
-				changed = true
+			changed := true
+			if reached[s] {
+				changed = states[s].mergeFrom(&out, v.uninitOn)
 			} else {
-				changed = states[s].mergeFrom(out)
+				states[s] = out
+				reached[s] = true
 			}
-			if changed && !queued[s] {
-				queued[s] = true
-				work = append(work, s)
+			if changed {
+				work.push(s)
 			}
 		}
 	}
 
 	for i := 0; i < n; i++ {
-		if states[i] != nil {
-			v.transfer(i, states[i], true)
+		if reached[i] {
+			v.transfer(i, &states[i], &out, true)
 		}
 	}
 }
@@ -190,34 +230,46 @@ func (v *verifier) dataflow() {
 // per register) would mask.
 func (v *verifier) checkWritePorts() {
 	n := len(v.dec)
-	maxLat := 1
-	counts := make(map[int]int)
+	counts := make([]int, n+1) // register commits per cycle, grown to the latest
 	for i := 0; i < n; i++ {
-		seen := map[isa.Reg]int{} // dest -> slot of the first writer
+		// dest -> slot of the first writer, for this instruction's <= 10 dests
+		var seen [10]struct {
+			r    isa.Reg
+			slot int
+		}
+		nseen := 0
 		for k := range v.ops[i] {
 			op := &v.ops[i][k]
 			if neverExec(op) {
 				continue
 			}
-			lat := v.t.OpLatency(op.oc)
-			if lat > maxLat {
-				maxLat = lat
+			c := i + v.t.OpLatency(op.oc)
+			if c >= len(counts) {
+				counts = append(counts, make([]int, c+1-len(counts))...)
 			}
 			for _, d := range op.dests {
 				if d.Hardwired() {
 					continue
 				}
-				if first, dup := seen[d]; dup {
+				first := 0
+				for _, e := range seen[:nseen] {
+					if e.r == d {
+						first = e.slot
+						break
+					}
+				}
+				if first > 0 {
 					v.diag(i, op.slot, op.mn(), CheckWAW, Error,
 						"writes %s already written by the operation in slot %d of the same instruction", d, first)
 				} else {
-					seen[d] = op.slot
+					seen[nseen].r, seen[nseen].slot = d, op.slot
+					nseen++
 				}
-				counts[i+lat]++
+				counts[c]++
 			}
 		}
 	}
-	for c := 1; c < n+maxLat; c++ {
+	for c := 1; c < len(counts); c++ {
 		if counts[c] <= sched.WBPorts {
 			continue
 		}

@@ -10,7 +10,8 @@ import "tm3270/internal/isa"
 // unsigned *interpretation* of the interval is only valid when it lies
 // entirely inside that reading's window, which the comparison and
 // address checks verify before drawing conclusions. Top (no
-// information) is represented by absence from the range state.
+// information) is represented by a register's absence from the known
+// set of the range state.
 type interval struct{ lo, hi int64 }
 
 const (
@@ -91,27 +92,90 @@ func (a interval) containsZeroPattern() bool {
 	return m <= a.hi
 }
 
-// rangeState maps registers to their interval at a node's entry.
-// Absent means top. The hardwired r0/r1 are implicit (see getIv).
-type rangeState map[isa.Reg]interval
-
-func (s rangeState) clone() rangeState {
-	c := make(rangeState, len(s))
-	for r, iv := range s {
-		c[r] = iv
-	}
-	return c
+// regDomain is the compact register domain of the range analysis: the
+// entry-valued registers plus every non-hardwired destination, in
+// ascending register order. Only those registers can ever hold a known
+// interval; any other register is top everywhere.
+type regDomain struct {
+	pos  [isa.NumRegs]int16 // domain position of each register, -1 outside
+	regs []isa.Reg          // register at each position
 }
 
-func (s rangeState) get(r isa.Reg) (interval, bool) {
+// newRegDomain builds the domain over the registers in rs.
+func newRegDomain(rs *regSet) *regDomain {
+	d := &regDomain{}
+	for i := range d.pos {
+		d.pos[i] = -1
+	}
+	rs.each(func(r isa.Reg) {
+		d.pos[r] = int16(len(d.regs))
+		d.regs = append(d.regs, r)
+	})
+	return d
+}
+
+// rangeState binds registers to their interval at a node's entry: a
+// register is known when its domain position is in known, and its
+// interval is then iv[position]. Everything else is top. The hardwired
+// r0/r1 are implicit (see get).
+type rangeState struct {
+	dom   *regDomain
+	known regSet     // domain positions with a known interval
+	iv    []interval // by domain position; meaningful only where known
+}
+
+// newState returns an all-top state over the domain.
+func (d *regDomain) newState() *rangeState {
+	return &rangeState{dom: d, iv: make([]interval, len(d.regs))}
+}
+
+// newStates returns n all-top states carved from one slab.
+func (d *regDomain) newStates(n int) []rangeState {
+	k := len(d.regs)
+	slab := make([]interval, n*k)
+	sts := make([]rangeState, n)
+	for i := range sts {
+		sts[i] = rangeState{dom: d, iv: slab[i*k : (i+1)*k : (i+1)*k]}
+	}
+	return sts
+}
+
+// copyFrom overwrites s with o (same domain).
+func (s *rangeState) copyFrom(o *rangeState) {
+	s.known = o.known
+	copy(s.iv, o.iv)
+}
+
+// get returns r's interval; ok=false means top. A nil state is all top.
+func (s *rangeState) get(r isa.Reg) (interval, bool) {
 	switch r {
 	case isa.R0:
 		return interval{0, 0}, true
 	case isa.R1:
 		return interval{1, 1}, true
 	}
-	iv, ok := s[r]
-	return iv, ok
+	if s == nil {
+		return interval{}, false
+	}
+	p := s.dom.pos[r]
+	if p < 0 || !s.known.has(isa.Reg(p)) {
+		return interval{}, false
+	}
+	return s.iv[p], true
+}
+
+// set binds r (a domain register) to iv.
+func (s *rangeState) set(r isa.Reg, iv interval) {
+	p := s.dom.pos[r]
+	s.known.add(isa.Reg(p))
+	s.iv[p] = iv
+}
+
+// del drops r to top.
+func (s *rangeState) del(r isa.Reg) {
+	if p := s.dom.pos[r]; p >= 0 {
+		s.known.del(isa.Reg(p))
+	}
 }
 
 // cmpKind classifies the comparison operators the domain evaluates.
@@ -264,7 +328,7 @@ var bitIv = interval{0, 1}
 
 // rangeResult computes the destination interval of a single-dest
 // operation from its operand intervals. ok=false means top.
-func rangeResult(op *vop, st rangeState) (interval, bool) {
+func rangeResult(op *vop, st *rangeState) (interval, bool) {
 	src := func(i int) (interval, bool) {
 		if i >= len(op.srcs) {
 			return interval{}, false

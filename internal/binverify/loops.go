@@ -378,8 +378,10 @@ func (v *verifier) loopEntryInterval(reg isa.Reg, l *loop) (interval, bool) {
 		}
 		return true
 	}
+	st := v.rdom.newState()
 	if l.header == 0 {
-		if !join(v.entryRangeState().get(reg)) {
+		v.entryRanges(st)
+		if !join(st.get(reg)) {
 			return interval{}, false
 		}
 	}
@@ -387,8 +389,8 @@ func (v *verifier) loopEntryInterval(reg isa.Reg, l *loop) (interval, bool) {
 		if l.body.has(p) || !v.reach[p] || v.ranges[p] == nil {
 			continue
 		}
-		out := v.transferRanges(p, v.ranges[p], nil)
-		if !join(out.get(reg)) {
+		v.transferRanges(p, v.ranges[p], st, nil)
+		if !join(st.get(reg)) {
 			return interval{}, false
 		}
 	}
@@ -482,8 +484,8 @@ func tripCount(rel cmpKind, unsigned bool, entry, limit interval, step int64) (i
 // sound by that argument alone, independent of the fixpoint: the
 // back-edge join may exceed it by one abstract step (the update before
 // the exit test), which widen deliberately discards (see widen).
-func (v *verifier) boundedWidenings() map[int]rangeState {
-	clamps := map[int]rangeState{}
+func (v *verifier) boundedWidenings() map[int]*rangeState {
+	clamps := map[int]*rangeState{}
 	for _, l := range v.loops {
 		if l.irreducible || l.bound == 0 {
 			continue
@@ -505,9 +507,9 @@ func (v *verifier) boundedWidenings() map[int]rangeState {
 				continue
 			}
 			if clamps[l.header] == nil {
-				clamps[l.header] = rangeState{}
+				clamps[l.header] = v.rdom.newState()
 			}
-			clamps[l.header][reg] = b
+			clamps[l.header].set(reg, b)
 		}
 	}
 	return clamps

@@ -22,23 +22,51 @@ const (
 	maxRangeIterations = 1 << 16
 )
 
-// entryRangeState seeds node 0: r0/r1 plus the declared entry values.
-func (v *verifier) entryRangeState() rangeState {
-	st := rangeState{}
+// buildRegDomain collects the range analysis' register domain: the
+// non-hardwired entry-valued registers and every non-hardwired
+// destination of an operation that may execute.
+func (v *verifier) buildRegDomain() {
+	var rs regSet
 	if v.opts != nil {
-		for r, val := range v.opts.EntryValues {
-			if !r.Hardwired() {
-				st[r] = ivConst(val)
+		for r := range v.opts.EntryValues {
+			if r.Valid() && !r.Hardwired() {
+				rs.add(r)
 			}
 		}
 	}
-	return st
+	for i := range v.ops {
+		for k := range v.ops[i] {
+			op := &v.ops[i][k]
+			if neverExec(op) {
+				continue
+			}
+			for _, d := range op.dests {
+				if !d.Hardwired() {
+					rs.add(d)
+				}
+			}
+		}
+	}
+	v.rdom = newRegDomain(&rs)
+}
+
+// entryRanges seeds st with node 0's state: r0/r1 (implicit) plus the
+// declared entry values.
+func (v *verifier) entryRanges(st *rangeState) {
+	st.known = regSet{}
+	if v.opts != nil {
+		for r, val := range v.opts.EntryValues {
+			if r.Valid() && !r.Hardwired() {
+				st.set(r, ivConst(val))
+			}
+		}
+	}
 }
 
 // guardTruth decides whether the op executes: known=false when the
 // guard value is not statically determined. Hardwired guards are
 // handled by neverExec before this is consulted.
-func guardTruth(op *vop, st rangeState) (executes, known bool) {
+func guardTruth(op *vop, st *rangeState) (executes, known bool) {
 	iv, ok := st.get(op.guard)
 	if !ok || !iv.singleton() {
 		return false, false
@@ -47,11 +75,11 @@ func guardTruth(op *vop, st rangeState) (executes, known bool) {
 	return (bit == 1) != op.info.GuardInverted, true
 }
 
-// transferRanges computes the next node's entry state from node i's.
-// When sink is non-nil, per-op results are reported to it (the checking
-// pass); the fixpoint passes nil.
-func (v *verifier) transferRanges(i int, in rangeState, sink func(op *vop, st rangeState)) rangeState {
-	out := in.clone()
+// transferRanges computes the next node's entry state from node i's
+// into out. When sink is non-nil, per-op results are reported to it
+// (the checking pass); the fixpoint passes nil.
+func (v *verifier) transferRanges(i int, in, out *rangeState, sink func(op *vop, st *rangeState)) {
+	out.copyFrom(in)
 	for k := range v.ops[i] {
 		op := &v.ops[i][k]
 		if neverExec(op) {
@@ -73,7 +101,7 @@ func (v *verifier) transferRanges(i int, in rangeState, sink func(op *vop, st ra
 		if len(op.dests) > 1 {
 			// Two-slot results are outside the domain.
 			for _, d := range op.dests {
-				delete(out, d)
+				out.del(d)
 			}
 			continue
 		}
@@ -84,43 +112,41 @@ func (v *verifier) transferRanges(i int, in rangeState, sink func(op *vop, st ra
 		res, ok := rangeResult(op, in)
 		switch {
 		case !ok:
-			delete(out, d)
+			out.del(d)
 		case guardKnown:
-			out[d] = res // strong update
+			out.set(d, res) // strong update
 		default:
 			// The write may or may not happen: join with the old value.
-			if old, had := out[d]; had {
-				out[d] = hull(old, res)
-			} else {
-				delete(out, d)
+			if old, had := out.get(d); had {
+				out.set(d, hull(old, res))
 			}
 		}
 	}
-	return out
 }
 
 // mergeRanges joins src into dst (hull of common registers, drop the
 // rest), reporting whether dst changed.
-func mergeRanges(dst, src rangeState) bool {
+func mergeRanges(dst, src *rangeState) bool {
 	changed := false
-	for r, iv := range dst {
-		siv, ok := src.get(r)
-		if !ok {
-			delete(dst, r)
+	dst.known.each(func(p isa.Reg) {
+		if !src.known.has(p) {
+			dst.known.del(p)
 			changed = true
-			continue
+			return
 		}
-		if h := hull(iv, siv); h != iv {
-			dst[r] = h
+		if h := hull(dst.iv[p], src.iv[p]); h != dst.iv[p] {
+			dst.iv[p] = h
 			changed = true
 		}
-	}
+	})
 	return changed
 }
 
 // rangeFixpoint runs the interval worklist. clamps, when non-nil, maps
 // loop headers to bounded-widening targets per register (second pass).
-func (v *verifier) rangeFixpoint(clamps map[int]rangeState) {
+// Node states are carved from one slab when first reached; one scratch
+// state carries every transfer's result and one the pre-merge state.
+func (v *verifier) rangeFixpoint(clamps map[int]*rangeState) {
 	n := len(v.dec)
 	isHeader := make([]bool, n)
 	for _, l := range v.loops {
@@ -129,32 +155,33 @@ func (v *verifier) rangeFixpoint(clamps map[int]rangeState) {
 		}
 	}
 
-	states := make([]rangeState, n)
-	states[0] = v.entryRangeState()
+	slab := v.rdom.newStates(n)
+	states := make([]*rangeState, n)
+	states[0] = &slab[0]
+	v.entryRanges(states[0])
+	out, pre := v.rdom.newState(), v.rdom.newState()
 	joins := make([]int, n)
-	work := []int{0}
-	queued := make([]bool, n)
-	queued[0] = true
-	for iter := 0; len(work) > 0 && iter < maxRangeIterations; iter++ {
-		i := work[0]
-		work = work[1:]
-		queued[i] = false
-		out := v.transferRanges(i, states[i], nil)
+	work := newWorklist(n)
+	work.push(0)
+	for iter := 0; !work.empty() && iter < maxRangeIterations; iter++ {
+		i := work.pop()
+		v.transferRanges(i, states[i], out, nil)
 		for _, s := range v.succ[i] {
 			if s >= n {
 				continue
 			}
 			changed := false
 			if states[s] == nil {
-				states[s] = out.clone()
+				states[s] = &slab[s]
+				states[s].copyFrom(out)
 				changed = true
 			} else {
-				pre := states[s].clone()
+				pre.copyFrom(states[s])
 				if mergeRanges(states[s], out) {
 					joins[s]++
 					if isHeader[s] && joins[s] > widenAfterJoins ||
 						joins[s] > widenSafetyValve {
-						widen(states[s], pre, clampFor(clamps, s))
+						widen(states[s], pre, clamps[s])
 					}
 					// Widening a clamped register can restore the
 					// pre-merge state exactly; only a real change
@@ -162,20 +189,12 @@ func (v *verifier) rangeFixpoint(clamps map[int]rangeState) {
 					changed = !rangesEqual(states[s], pre)
 				}
 			}
-			if changed && !queued[s] {
-				queued[s] = true
-				work = append(work, s)
+			if changed {
+				work.push(s)
 			}
 		}
 	}
 	v.ranges = states
-}
-
-func clampFor(clamps map[int]rangeState, node int) rangeState {
-	if clamps == nil {
-		return nil
-	}
-	return clamps[node]
 }
 
 // widen drops every register that grew in the last join to top — or to
@@ -185,37 +204,35 @@ func clampFor(clamps map[int]rangeState, node int) rangeState {
 // step between consecutive ones — see boundedWidenings), while the
 // back-edge join necessarily carries one increment past the final
 // header entry because the domain cannot refine on the exit branch.
-func widen(cur, pre rangeState, clamp rangeState) {
-	for r, iv := range cur {
-		old, had := pre[r]
-		if had && old == iv {
-			continue // stable: no widening needed
+func widen(cur, pre, clamp *rangeState) {
+	cur.known.each(func(p isa.Reg) {
+		if pre.known.has(p) && pre.iv[p] == cur.iv[p] {
+			return // stable: no widening needed
 		}
-		if c, ok := clamp[r]; ok {
-			cur[r] = c
-			continue
+		if clamp != nil && clamp.known.has(p) {
+			cur.iv[p] = clamp.iv[p]
+			return
 		}
-		delete(cur, r)
-	}
+		cur.known.del(p)
+	})
 }
 
 // rangesEqual reports whether two range states bind the same registers
 // to the same intervals.
-func rangesEqual(a, b rangeState) bool {
-	if len(a) != len(b) {
+func rangesEqual(a, b *rangeState) bool {
+	if a.known != b.known {
 		return false
 	}
-	for r, iv := range a {
-		if biv, ok := b[r]; !ok || biv != iv {
-			return false
-		}
-	}
-	return true
+	eq := true
+	a.known.each(func(p isa.Reg) {
+		eq = eq && a.iv[p] == b.iv[p]
+	})
+	return eq
 }
 
 // memAddress returns the access address interval of a load/store, or
 // ok=false when the addressing operands are unknown.
-func memAddress(op *vop, st rangeState) (interval, bool) {
+func memAddress(op *vop, st *rangeState) (interval, bool) {
 	if len(op.srcs) == 0 {
 		return interval{}, false
 	}
@@ -262,18 +279,19 @@ func memAddress(op *vop, st rangeState) (interval, bool) {
 // reports dead guards and provably out-of-range memory accesses.
 func (v *verifier) checkRanges() {
 	n := len(v.dec)
+	out := v.rdom.newState()
 	for i := 0; i < n; i++ {
 		if !v.reach[i] || v.ranges[i] == nil {
 			continue
 		}
 		idx := i
-		v.transferRanges(i, v.ranges[i], func(op *vop, st rangeState) {
+		v.transferRanges(i, v.ranges[i], out, func(op *vop, st *rangeState) {
 			v.checkOpRanges(idx, op, st)
 		})
 	}
 }
 
-func (v *verifier) checkOpRanges(i int, op *vop, st rangeState) {
+func (v *verifier) checkOpRanges(i int, op *vop, st *rangeState) {
 	exec, guardKnown := true, true
 	if !op.guard.Hardwired() {
 		exec, guardKnown = guardTruth(op, st)
