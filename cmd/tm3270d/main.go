@@ -12,8 +12,9 @@
 // Observability: every request carries a request ID joining one
 // structured (slog JSON) log line, the request's span tree and any
 // error body; /metrics serves counters plus fixed-bucket latency
-// histograms; -trace FILE writes the whole serving window as a
-// Perfetto-loadable span trace on exit, sessions as tracks.
+// histograms; -trace FILE writes the serving window (the last -span-cap
+// request trees) as a Perfetto-loadable span trace on exit, sessions as
+// tracks.
 //
 // Usage:
 //
@@ -36,6 +37,7 @@ import (
 	"time"
 
 	"tm3270/internal/service"
+	"tm3270/internal/telemetry"
 	"tm3270/internal/tmsim"
 )
 
@@ -50,7 +52,7 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff hint on shed responses")
 	engine := flag.String("engine", "", "default execution engine for sessions: blockcache (default) or interp")
 	tracePath := flag.String("trace", "", "write the serving-window span trace (Chrome trace-event JSON) here on exit")
-	spanCap := flag.Int("span-cap", 0, "span recorder bound in request trees (0 = default)")
+	spanCap := flag.Int("span-cap", 0, fmt.Sprintf("span window size: keep the last N request trees, evicting older ones (0 = %d)", telemetry.DefaultMaxSpans))
 	logJSON := flag.Bool("log-json", true, "emit one structured JSON log line per request to stderr")
 	flag.Parse()
 

@@ -48,6 +48,12 @@ type Telemetry struct {
 	// Snapshot is the point-in-time counter dump taken when the run
 	// finished or trapped (output).
 	Snapshot telemetry.Snapshot
+
+	// VerifyStart and VerifyEnd bracket the static verification a run
+	// with Verify set performs before execution, and VerifyDiags counts
+	// its diagnostics (outputs; zero times when the run did not verify).
+	VerifyStart, VerifyEnd time.Time
+	VerifyDiags            int
 }
 
 // Options collects the per-run knobs. The zero value is a plain
@@ -174,7 +180,15 @@ func RunContext(ctx context.Context, w *workloads.Spec, t config.Target, opts ..
 		}
 	}
 	if o.Verify {
-		if _, err := art.VerifyStatic(&t, art.VerifyOptions(w)); err != nil {
+		start := time.Now()
+		rep, err := art.VerifyStatic(&t, art.VerifyOptions(w))
+		if tel := o.Telemetry; tel != nil {
+			tel.VerifyStart, tel.VerifyEnd = start, time.Now()
+			if rep != nil {
+				tel.VerifyDiags = len(rep.Diags)
+			}
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", w.Name, t.Name, err)
 		}
 	}

@@ -141,6 +141,101 @@ func TestRunTraceEndpoint(t *testing.T) {
 	}
 }
 
+// spanNamed finds the first span of the given name, depth first.
+func spanNamed(j *telemetry.SpanJSON, name string) *telemetry.SpanJSON {
+	if j.Name == name {
+		return j
+	}
+	for _, c := range j.Children {
+		if f := spanNamed(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// TestVerifySpan: a verify session's run trace times the static
+// verifier as a "verify" child of "execute", annotated with the
+// diagnostic count; a session without verify has no such span.
+func TestVerifySpan(t *testing.T) {
+	_, ts := newServer(t, service.Config{})
+	c := newClient(ts)
+	ctx := context.Background()
+
+	for _, verify := range []bool{true, false} {
+		info, err := c.CreateSession(ctx, service.CreateSessionRequest{
+			Workload: "memcpy", Options: service.SessionOptions{Verify: verify}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Run(ctx, info.ID, service.RunRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Status != service.StatusOK {
+			t.Fatalf("verify=%t: run status = %q (%s)", verify, rep.Status, rep.Error)
+		}
+		rt, err := c.RunTrace(ctx, info.ID, rep.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wellFormedSpan(t, rt.Span)
+		exec := spanNamed(rt.Span, "execute")
+		if exec == nil {
+			t.Fatalf("verify=%t: trace has no execute span", verify)
+		}
+		v := spanNamed(rt.Span, "verify")
+		switch {
+		case !verify && v != nil:
+			t.Errorf("session without verify has a verify span: %+v", v)
+		case verify && v == nil:
+			t.Errorf("verify session's trace has no verify span")
+		case verify && spanNamed(exec, "verify") != v:
+			t.Errorf("verify span is not under execute")
+		case verify && v.Args["diags"] != float64(0):
+			t.Errorf("verify span diags = %v, want 0 for a clean binary", v.Args["diags"])
+		}
+	}
+}
+
+// TestSpanWindowKeepsNewest: past its cap the server's span window
+// evicts the oldest request trees, so a long-lived server keeps a
+// bounded, current window.
+func TestSpanWindowKeepsNewest(t *testing.T) {
+	const spanCap = 4
+	srv, ts := newServer(t, service.Config{SpanCap: spanCap})
+	c := newClient(ts)
+	ctx := context.Background()
+
+	info, err := c.CreateSession(ctx, service.CreateSessionRequest{Workload: "memset"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = spanCap + 3
+	var last service.RunReply
+	for i := 0; i < runs; i++ {
+		rep, err := c.Run(ctx, info.ID, service.RunRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = *rep
+	}
+	sp := srv.Spans()
+	if sp.Len() != spanCap {
+		t.Errorf("span window holds %d trees, want the cap %d", sp.Len(), spanCap)
+	}
+	// One tree for the create request, one per run.
+	if got, want := sp.Dropped(), int64(1+runs-spanCap); got != want {
+		t.Errorf("Dropped = %d, want %d", got, want)
+	}
+	trees := sp.Trees()
+	newest := trees[len(trees)-1].JSON(sp.Epoch())
+	if newest.Args["request_id"] != last.RequestID {
+		t.Errorf("newest retained tree is request %v, want the last run's %s",
+			newest.Args["request_id"], last.RequestID)
+	}
+}
+
 // TestMetricsHistograms: /metrics serves well-formed histograms and
 // every per-stage latency histogram observes exactly once per admitted
 // run — the bucket sums reconcile against the admission counters.

@@ -75,7 +75,8 @@ type Config struct {
 	// Log receives one structured line per request (the request ID
 	// joins it to spans and metrics); nil discards.
 	Log *slog.Logger
-	// SpanCap bounds the serving-window span recorder (<=0 selects
+	// SpanCap is the serving window's size: the span recorder keeps the
+	// last SpanCap request trees and evicts older ones (<=0 selects
 	// telemetry.DefaultMaxSpans).
 	SpanCap int
 }
@@ -262,13 +263,15 @@ func (s *Server) Histograms() map[string]telemetry.HistogramSnapshot {
 	return s.reg.Histograms()
 }
 
-// Spans returns the serving-window span recorder.
+// Spans returns the serving-window span recorder, which keeps the
+// most recent Config.SpanCap request trees.
 func (s *Server) Spans() *telemetry.Spans { return s.spans }
 
-// WriteTrace exports the serving window's span trees as a
-// Perfetto-loadable Chrome trace-event file: one track per session,
-// each request a span tree of admit → queue-wait → compile →
-// execute → encode-response stages.
+// WriteTrace exports the serving window's span trees (the most recent
+// Config.SpanCap requests) as a Perfetto-loadable Chrome trace-event
+// file: one track per session, each request a span tree of admit →
+// queue-wait → compile → execute (with a verify child on verify
+// sessions) → encode-response stages.
 func (s *Server) WriteTrace(w io.Writer) error { return s.spans.WriteTrace(w) }
 
 // Draining reports whether a drain has started.

@@ -698,6 +698,11 @@ func (s *Server) execute(sess *Session, req RunRequest, seq int64, ri *requestIn
 	res, runErr := runner.RunContext(ctx, w, sess.target, ropts...)
 	s.lat.execute.Observe(time.Since(execStart))
 	execObserved = true
+	if !sink.VerifyStart.IsZero() {
+		vSpan := eSpan.StartChildAt("verify", sink.VerifyStart)
+		vSpan.Annotate("diags", sink.VerifyDiags)
+		vSpan.EndAt(sink.VerifyEnd)
+	}
 	if res != nil {
 		rep.Cycles = res.Stats.Cycles
 		rep.Instrs = res.Stats.Instrs

@@ -172,24 +172,27 @@ func (sp *Span) JSON(epoch time.Time) *SpanJSON {
 	return j
 }
 
-// DefaultMaxSpans bounds an unconfigured span window.
-const DefaultMaxSpans = 100_000
+// DefaultMaxSpans bounds an unconfigured span window. A served request
+// tree retains ~2.3 KB, so the default window holds ~9 MB.
+const DefaultMaxSpans = 4096
 
-// Spans is the serving-window span recorder: finished request trees
-// accumulate (bounded; excess trees are counted, not stored) and
-// export as one Chrome trace-event file where each track — the
+// Spans is the serving-window span recorder: a ring of the most recent
+// finished request trees (older trees are evicted and counted) that
+// exports as one Chrome trace-event file where each track — the
 // service's, plus one per session — is a Perfetto process and
-// overlapping requests pack onto reusable rows. A nil *Spans discards
-// every Record.
+// overlapping requests pack onto reusable rows. A long-lived server
+// therefore holds bounded memory and keeps tracing its newest traffic.
+// A nil *Spans discards every Record.
 type Spans struct {
 	mu      sync.Mutex
 	epoch   time.Time
 	max     int
-	trees   []*Span
+	trees   []*Span // once full, a ring whose oldest tree is trees[next]
+	next    int
 	dropped int64
 }
 
-// NewSpans returns a recorder capped at max trees (<=0 selects
+// NewSpans returns a recorder keeping the last max trees (<=0 selects
 // DefaultMaxSpans). The epoch — the zero point of every exported
 // timestamp — is the construction instant.
 func NewSpans(max int) *Spans {
@@ -207,21 +210,24 @@ func (s *Spans) Epoch() time.Time {
 	return s.epoch
 }
 
-// Record stores one finished request tree.
+// Record stores one finished request tree, evicting the oldest when
+// the window is full.
 func (s *Spans) Record(root *Span) {
 	if s == nil || root == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.trees) >= s.max {
-		s.dropped++
+	if len(s.trees) < s.max {
+		s.trees = append(s.trees, root)
 		return
 	}
-	s.trees = append(s.trees, root)
+	s.trees[s.next] = root
+	s.next = (s.next + 1) % s.max
+	s.dropped++
 }
 
-// Len returns the number of recorded trees.
+// Len returns the number of retained trees.
 func (s *Spans) Len() int {
 	if s == nil {
 		return 0
@@ -231,7 +237,7 @@ func (s *Spans) Len() int {
 	return len(s.trees)
 }
 
-// Dropped returns the number of trees discarded past the cap.
+// Dropped returns the number of trees evicted from the window.
 func (s *Spans) Dropped() int64 {
 	if s == nil {
 		return 0
@@ -241,27 +247,33 @@ func (s *Spans) Dropped() int64 {
 	return s.dropped
 }
 
-// Trees returns a copy of the recorded roots (tests, export).
+// Trees returns a copy of the retained roots, oldest first (tests,
+// export).
 func (s *Spans) Trees() []*Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]*Span(nil), s.trees...)
+	return s.treesLocked()
 }
 
-// WriteTrace exports the window as a Chrome trace-event JSON array
-// (the same writer format as Trace.WriteJSON), loadable in Perfetto:
-// one process per track, process_name metadata naming it, requests
-// greedily packed onto rows so concurrent requests of one session
-// render side by side.
+func (s *Spans) treesLocked() []*Span {
+	return append(append(make([]*Span, 0, len(s.trees)), s.trees[s.next:]...), s.trees[:s.next]...)
+}
+
+// WriteTrace exports the window — the most recent retained trees — as
+// a Chrome trace-event JSON array (the same writer format as
+// Trace.WriteJSON), loadable in Perfetto: one process per track,
+// process_name metadata naming it, requests greedily packed onto rows
+// so concurrent requests of one session render side by side. When
+// older trees were evicted, a final instant event carries their count.
 func (s *Spans) WriteTrace(w io.Writer) error {
 	if s == nil {
 		return writeEvents(w, nil)
 	}
 	s.mu.Lock()
-	trees := append([]*Span(nil), s.trees...)
+	trees := s.treesLocked()
 	epoch, dropped := s.epoch, s.dropped
 	s.mu.Unlock()
 
@@ -317,7 +329,7 @@ func (s *Spans) WriteTrace(w io.Writer) error {
 	}
 	if dropped > 0 {
 		events = append(events, Event{
-			Name: "span trees dropped past cap", Ph: "i", PID: 0, TID: 1,
+			Name: "span trees evicted from the window", Ph: "i", PID: 0, TID: 1,
 			Args: map[string]any{"dropped": dropped},
 		})
 	}

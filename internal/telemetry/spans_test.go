@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -89,12 +90,20 @@ func TestNilSpanNoOps(t *testing.T) {
 func TestSpansCapAndDropCount(t *testing.T) {
 	s := NewSpans(2)
 	for i := 0; i < 5; i++ {
-		sp := NewSpan("r")
+		sp := NewSpan(fmt.Sprintf("r%d", i))
 		sp.End()
 		s.Record(sp)
 	}
 	if s.Len() != 2 || s.Dropped() != 3 {
 		t.Errorf("Len=%d Dropped=%d, want 2 and 3", s.Len(), s.Dropped())
+	}
+	// The window keeps the most recent trees, oldest first.
+	var names []string
+	for _, tr := range s.Trees() {
+		names = append(names, tr.JSON(s.Epoch()).Name)
+	}
+	if strings.Join(names, ",") != "r3,r4" {
+		t.Errorf("kept trees %v, want [r3 r4]", names)
 	}
 }
 
