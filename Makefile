@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke perfbench-test sched-bench mem-bench
+.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke perfbench-test sched-bench mem-bench verify-bench
 
 # Tier-1 gate: lint (vet + tmvet + gofmt), the full test suite under the
 # race detector (includes the concurrent-runner and batch determinism
@@ -19,11 +19,13 @@ GO ?= go
 # the merged aggregate against an unsharded run), the tests of the
 # nested perfbench module, so an API change that breaks the benchmark
 # harness fails here rather than when the benchmark runs, and one
-# iteration each of the scheduler and memory-image benchmarks, so they
-# keep compiling and running. (The race run includes TestBinariesGolden,
-# which pins the compiler's encoded output, and TestScheduleAllocs, the
-# scheduler's allocation ceiling.)
-check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke perfbench-test sched-bench mem-bench
+# iteration each of the scheduler, memory-image and static-verifier
+# benchmarks, so they keep compiling and running. (The race run
+# includes TestBinariesGolden, which pins the compiler's encoded output,
+# TestAnalysisGolden, which pins the verifier's reports and WCET
+# bounds, TestScheduleAllocs, the scheduler's allocation ceiling, and
+# TestVerifyAllocs, the verifier's.)
+check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke perfbench-test sched-bench mem-bench verify-bench
 
 build:
 	$(GO) build ./...
@@ -71,6 +73,13 @@ sched-bench:
 # check on a full-scale image), so both keep compiling and running.
 mem-bench:
 	$(GO) test -run '^$$' -bench 'ByteAtTwoPages|MECheck' -benchtime 1x ./internal/mem ./internal/workloads
+
+# verify-bench: one iteration of BenchmarkVerify (the whole-program
+# static verifier on upconv, mp3_synth, mpeg2_a and me_ref, Small on
+# target D), so it keeps compiling and running. For timings, raise
+# -benchtime.
+verify-bench:
+	$(GO) test -run '^$$' -bench Verify -benchtime 1x ./internal/binverify
 
 # campaign: both fault campaigns on the campaign engine — the 208-run
 # injection campaign (workload x injector x seed, one compile per
