@@ -29,6 +29,9 @@ func benchInput(tb testing.TB, name string) ([]encode.DecInstr, *config.Target, 
 	return dec, &tgt, opts
 }
 
+// verifySink keeps the benchmarked reports live.
+var verifySink *Report
+
 // BenchmarkVerify times one whole-program verification, semantic layer
 // included, of each benchmark workload.
 func BenchmarkVerify(b *testing.B) {
@@ -37,7 +40,7 @@ func BenchmarkVerify(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Verify(dec, tgt, opts)
+				verifySink = Verify(dec, tgt, opts)
 			}
 		})
 	}
