@@ -258,8 +258,11 @@ func (s *Spans) Trees() []*Span {
 	return s.treesLocked()
 }
 
+// treesLocked copies the retained trees, oldest first; s.mu is held.
 func (s *Spans) treesLocked() []*Span {
-	return append(append(make([]*Span, 0, len(s.trees)), s.trees[s.next:]...), s.trees[:s.next]...)
+	out := make([]*Span, 0, len(s.trees))
+	out = append(out, s.trees[s.next:]...)
+	return append(out, s.trees[:s.next]...)
 }
 
 // WriteTrace exports the window — the most recent retained trees — as
